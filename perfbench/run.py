@@ -52,7 +52,7 @@ from workloads import (  # noqa: E402
 MODEL_NAME = "bench"
 GATE_SAMPLE = 12                    # wire responses re-served in-process per run
 START_TIMEOUT = 120                 # seconds for a server to print READY
-STATE_DIR = ".perfbench-state"      # checksums of earlier runs, scratch registries
+STATE_DIR = ".perfbench-state"      # checksums, results, spans, scratch registries
 
 
 class BenchmarkError(RuntimeError):
@@ -451,7 +451,7 @@ def run_serving(args, root, scratch, checksums):
               "correct": not failed and all(guards.values()),
               "metrics": metrics, "info": info}
     if args.trace:
-        spans_path = os.path.join(scratch, "spans.json")
+        spans_path = spans_file(scratch, args)
         traced = serving_phase(root, workload, registry_dir, bodies, codec, warm,
                                timed, trace_out=spans_path)
         traced_responses = [decode_response_body(codec, record.body)
@@ -577,6 +577,12 @@ def run_offline(args, root, scratch, checksums, setups=None):
                       "counters": (counters_before, counters_after)}}
 
 
+def spans_file(scratch, args):
+    """Where a traced run leaves its spans (kept after the run)."""
+    return os.path.join(os.path.dirname(scratch),
+                        f"spans-{args.workload}-seed{args.seed}.json")
+
+
 def run_offline_traced(args, root, scratch, checksums):
     untraced = run_offline(args, root, scratch, checksums, setups=1)
     recorder = tracer.install(tracer.Recorder())
@@ -584,6 +590,7 @@ def run_offline_traced(args, root, scratch, checksums):
         traced = run_offline(args, root, scratch, checksums, setups=1)
     finally:
         recorder.unpatch()
+    recorder.dump(spans_file(scratch, args))
     traced["metrics"] = offline_layers(untraced["phase"], traced["phase"],
                                        recorder.spans)
     traced["attempted"] += untraced["attempted"]

@@ -96,9 +96,9 @@ class Recorder:
         self._current.reset(token)
         self.spans.append(span)
 
-    def record(self, name, start, end, *, parent=None, rids=(), size=None):
+    def record(self, name, start, end, *, parent=None, rids=()):
         """Add a span whose interval was measured elsewhere."""
-        span = Span(next(self._ids), name, start, parent, rids, size)
+        span = Span(next(self._ids), name, start, parent, rids)
         span.end = end
         self.spans.append(span)
         return span
@@ -169,11 +169,9 @@ class Recorder:
         module imported them by name, so ``from .pool import execute_batch``
         call sites are traced too.
         """
-        original = owner.__dict__[attribute]
-        is_static = isinstance(original, staticmethod)
-        function = original.__func__ if is_static else original
+        function = owner.__dict__[attribute]
         wrapped = self.wrap(function, name, **options)
-        self._set(owner, attribute, staticmethod(wrapped) if is_static else wrapped)
+        self._set(owner, attribute, wrapped)
         if inspect.ismodule(owner):
             for module in list(sys.modules.values()):
                 namespace = getattr(module, "__dict__", None)
@@ -337,8 +335,7 @@ def _patch_dispatch(recorder, pool_class):
 
             def finished(value, inner=inner):
                 recorder.record("pool.roundtrip", started, recorder.clock(),
-                                parent=parent, rids=rids,
-                                size=len(task.payloads))
+                                parent=parent, rids=rids)
                 return inner(value)
             setattr(task, hook, finished)
         try:
