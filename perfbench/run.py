@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload wire-small --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload burst-mixed --seed 1 --seconds 12 --trace 0
 
 ``--trace 0`` prints every end-to-end metric of ``BENCHMARK.json``;
 ``--trace 1`` repeats the timed phase with the layer boundaries wrapped
@@ -17,8 +17,9 @@ import os
 
 if __name__ == "__main__":
     # One BLAS thread (BENCHMARK.json's command sets it too): with the default
-    # thread count, wire-small p90 spread 34.9-45.3 ms over three runs on a
-    # 2-core host, with one thread 34.4-38.8 ms.  Set before numpy loads.
+    # thread count, small-window p90 latency spread 34.9-45.3 ms over three
+    # runs on a 2-core host, with one thread 34.4-38.8 ms.  Set before numpy
+    # loads.
     for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_variable, "1")
 
@@ -42,6 +43,7 @@ import numpy as np  # noqa: E402
 
 import tracer  # noqa: E402
 from workloads import (  # noqa: E402
+    BURST_TEMPLATES,
     WORKLOADS,
     final_loss,
     make_requests,
@@ -282,30 +284,6 @@ def _headers(codec, index):
     return {"Content-Type": codec, "Accept": codec, "X-Request-Id": str(index)}
 
 
-async def run_sync_loop(port, bodies, codec, indices, connections=2):
-    """Closed loop: each connection sends ``POST /v1/impute?sync=1``
-    back-to-back; connection ``k`` sends every ``connections``-th request."""
-    records = {index: Exchange(index) for index in indices}
-
-    async def client(share):
-        connection = await Connection.open(port)
-        try:
-            for index in share:
-                record = records[index]
-                record.sent = time.perf_counter()
-                record.status, record.body = await connection.request(
-                    "POST", "/v1/impute?sync=1", bodies[index],
-                    _headers(codec, index))
-                record.done = time.perf_counter()
-                record.bytes = len(bodies[index]) + len(record.body)
-        finally:
-            await connection.close()
-
-    await asyncio.gather(*(client(indices[k::connections])
-                           for k in range(connections)))
-    return [records[index] for index in indices]
-
-
 async def run_burst_loop(port, bodies, codec, indices, burst=8):
     """One connection, closed over bursts: ``burst`` async submits (202 +
     ticket), then a blocking fetch of each result; a request's latency runs
@@ -342,12 +320,11 @@ def serving_phase(root, workload, registry, bodies, codec, warm, timed=(),
                   trace_out=""):
     """Boot the server and warm it up (the set-up), then run the timed phase
     (if any) between two counter readings; the server is stopped on return."""
-    loop_fn = run_sync_loop if workload.name == "wire-small" else run_burst_loop
     phase = {}
     started = time.perf_counter()
     server = ServerProcess(root, workload.name, registry, trace_out)
     try:
-        warm_records = asyncio.run(loop_fn(server.port, bodies, codec, warm))
+        warm_records = asyncio.run(run_burst_loop(server.port, bodies, codec, warm))
         phase["setup_s"] = time.perf_counter() - started
         if any(record.status != 200 for record in warm_records):
             raise BenchmarkError("a warm-up request failed")
@@ -355,7 +332,8 @@ def serving_phase(root, workload, registry, bodies, codec, warm, timed=(),
             phase["before"] = asyncio.run(get_stats(server.port))
             cpu_before = tree_cpu_seconds(server.pid)
             phase["t0"] = time.perf_counter()
-            phase["records"] = asyncio.run(loop_fn(server.port, bodies, codec, timed))
+            phase["records"] = asyncio.run(
+                run_burst_loop(server.port, bodies, codec, timed))
             phase["t1"] = time.perf_counter()
             phase["cpu"] = tree_cpu_seconds(server.pid) - cpu_before
             phase["after"] = asyncio.run(get_stats(server.port))
@@ -370,18 +348,15 @@ def serving_phase(root, workload, registry, bodies, codec, warm, timed=(),
 def run_serving(args, root, scratch, checksums):
     from repro import ModelRegistry, PriSTI
     from repro.serving.gateway import (
-        JSON_CONTENT_TYPE,
         NPZ_CONTENT_TYPE,
         decode_response_body,
         encode_impute_request,
     )
 
     workload = WORKLOADS[args.workload]
-    codec = JSON_CONTENT_TYPE if workload.name == "wire-small" else NPZ_CONTENT_TYPE
-    count = int(round(args.seconds * workload.nominal_ops_per_s))
-    if workload.name == "burst-mixed":
-        count = max(count // 8, 1) * 8
-    warm_count = 2 if workload.name == "wire-small" else 8 * 2
+    codec = NPZ_CONTENT_TYPE
+    count = max(int(round(args.seconds * workload.nominal_ops_per_s)) // 8, 1) * 8
+    warm_count = 8 * len(BURST_TEMPLATES)          # one burst of each composition
 
     # Fixture preparation (not part of set-up): data, the served model, and
     # the encoded requests.
@@ -390,7 +365,7 @@ def run_serving(args, root, scratch, checksums):
     timed_fit(model, dataset)
     registry_dir = os.path.join(scratch, "registry")
     ModelRegistry(registry_dir).publish(model, MODEL_NAME)
-    specs = make_requests(workload, dataset, args.seed, warm_count + count)
+    specs = make_requests(dataset, args.seed, warm_count + count)
     bodies = [encode_impute_request(to_imputation_request(spec, MODEL_NAME), codec)
               for spec in specs]
     warm = list(range(warm_count))
@@ -430,7 +405,7 @@ def run_serving(args, root, scratch, checksums):
     p50, tail, percentile = latency_summary(latencies)
     ok = len(timed) - len(failed)
     before, after = phase["before"], phase["after"]
-    guards = steadiness_guards(workload, before, after, count)
+    guards = steadiness_guards(before, after, count)
     metrics = {
         "setup_s": statistics.median(setups),
         "latency_p50_ms": p50,
@@ -441,12 +416,13 @@ def run_serving(args, root, scratch, checksums):
         "train_loss": final_loss(model),
         "peak_rss_mb": phase["peak_rss_mb"],
     }
-    quarters = np.array_split(np.asarray(latencies) * 1000.0, 4)
+    milliseconds = np.asarray(latencies) * 1000.0
     info = {"requests": count, "tail_percentile": f"p{percentile}",
-            "p50_by_quarter_ms": [float(np.median(q)) for q in quarters],
-            "deciles_ms": [float(x) for x in np.percentile(np.asarray(latencies) * 1000.0, range(10, 100, 10))],
-            "setup_runs_s": setups, "guards": guards,
-            "codec": codec, "connections": 2 if workload.name == "wire-small" else 1}
+            # drift within the run, and the latency distribution
+            "p50_by_quarter_ms": [float(np.median(q))
+                                  for q in np.array_split(milliseconds, 4)],
+            "deciles_ms": np.percentile(milliseconds, range(10, 100, 10)).tolist(),
+            "setup_runs_s": setups, "guards": guards}
     result = {"attempted": len(timed), "failed": len(failed),
               "correct": not failed and all(guards.values()),
               "metrics": metrics, "info": info}
@@ -489,10 +465,8 @@ def gate_against_serve(registry_dir, specs, decoded, seed):
     return failed
 
 
-def steadiness_guards(workload, before, after, count):
+def steadiness_guards(before, after, count):
     """Conditions under which a burst-mixed run is comparable to another."""
-    if workload.name != "burst-mixed":
-        return {}
     bursts = count // 8
 
     def delta(name):
@@ -509,7 +483,7 @@ def steadiness_guards(workload, before, after, count):
 # Offline workload (one process: fit, then repeated impute)
 # ---------------------------------------------------------------------------
 def run_offline(args, root, scratch, checksums, setups=None):
-    from repro import PriSTI
+    from repro import PriSTI, load_model, save_model
     from repro.inference.compiled import compiled_metrics
 
     workload = WORKLOADS[args.workload]
@@ -521,32 +495,35 @@ def run_offline(args, root, scratch, checksums, setups=None):
     scored = evaluation & observed
     impute_seed = [int(args.seed), 0x1397]
 
-    def impute():
+    def impute(model):
         model.diffusion.rng = np.random.default_rng(impute_seed)
         return model.impute(dataset, "test")
 
     cpu0 = time.process_time()
-    model = PriSTI(workload.config())
+    fitted = PriSTI(workload.config())
     fit_start = time.perf_counter()
-    step_seconds = timed_fit(model, dataset)
+    step_seconds = timed_fit(fitted, dataset)
     fit_end = time.perf_counter()
+    artifact = os.path.join(scratch, "model")
+    save_model(fitted, artifact)
 
-    # Set-up: the cold first pass traces and compiles every chunk signature.
+    # Set-up: rehydrate the saved model, whose first pass traces and compiles
+    # every chunk signature.
     setup_runs, reference = [], None
     for _ in range(setups):
-        model.compiled_step_cache().clear()
         started = time.perf_counter()
-        result = impute()
+        model = load_model(artifact)
+        result = impute(model)
         setup_runs.append(time.perf_counter() - started)
         reference = result.samples if reference is None else reference
     counters_before = compiled_metrics()
     impute_start = time.perf_counter()
-    outputs = [impute() for _ in range(passes)]
+    outputs = [impute(model) for _ in range(passes)]
     impute_end = time.perf_counter()
     counters_after = compiled_metrics()
     cpu = time.process_time() - cpu0
 
-    failed = sum(1 for loss in model.history["loss"] if not np.isfinite(loss))
+    failed = sum(1 for loss in fitted.history["loss"] if not np.isfinite(loss))
     bad_passes = [i for i, output in enumerate(outputs)
                   if not (np.isfinite(output.samples).all()
                           and np.array_equal(output.samples, reference))]
@@ -565,7 +542,7 @@ def run_offline(args, root, scratch, checksums, setups=None):
         "throughput_per_s": items * passes / (impute_end - impute_start),
         "ok_share": (attempted - failed) / attempted,
         "mae": float(np.abs(outputs[0].median - values)[scored].mean()),
-        "train_loss": final_loss(model),
+        "train_loss": final_loss(fitted),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     info = {"fit_steps": steps, "impute_passes": passes, "items_per_pass": items,
@@ -617,8 +594,9 @@ class SpanTable:
         return [span for span in self.spans if span.name in names
                 and (under is None or tracer.has_ancestor(span, under, self.by_sid))]
 
-    def mean_self_ms(self, *names):
-        spans = self.named(*names)
+    def mean_self_ms(self, *names, whole_run=False):
+        spans = [span for span in self.all if span.name in names] if whole_run \
+            else self.named(*names)
         if not spans:
             return 0.0
         return 1000.0 * sum(self.self_seconds[span.sid] for span in spans) / len(spans)
@@ -641,10 +619,18 @@ def _share(numerator, denominator):
     return numerator / denominator if denominator else 0.0
 
 
+def registry_load_ms(table):
+    """Resolving and loading models, whole run: most loads are set-up work."""
+    return table.mean_self_ms("registry.resolve", "registry.backend",
+                              "io.load_model", whole_run=True)
+
+
 def common_layers(table):
     chunks = table.named("compiled.chunk")
     return {
-        "backend.execute_ms": table.mean_self_ms("backend.execute"),
+        # execute_batch on the request path, impute_segment on the dataset path
+        "backend.execute_ms": table.mean_self_ms("backend.execute",
+                                                 "backend.impute_segment"),
         "backend.plan_ms": table.mean_self_ms("backend.plan"),
         "backend.assemble_ms": table.mean_self_ms("backend.assemble"),
         "engine.sample_ms": table.mean_self_ms("engine.sample_plans"),
@@ -721,9 +707,7 @@ def serving_layers(untraced, traced, spans, responses):
             [r["batch_seconds"] for r in responses])),
         "service.batch_requests": _share(delta("service.requests.served"),
                                           delta("service.batches")),
-        "registry.load_ms": table.self_ms_per(
-            len(table.named("registry.backend")), "registry.backend",
-            "io.load_model"),
+        "registry.load_ms": registry_load_ms(table),
         "registry.cache_hit_share": _share(delta("registry.cache.hits"), lookups),
         "pool.roundtrip_ms": 1000.0 * _share(
             sum(span.end - span.start for span in roundtrips), len(roundtrips)),
@@ -753,8 +737,9 @@ def offline_layers(untraced, traced, spans):
     covered = sum(tracer.union_length(
         (max(span.start, start), min(span.end, end)) for span in table.spans)
         for start, end in windows)
-    # Offline-large never enters the gateway, service, registry or pool.
+    # Offline-large never enters the gateway, service or pool.
     metrics = dict.fromkeys(PER_LAYER_UNITS, 0.0)
+    metrics["registry.load_ms"] = registry_load_ms(table)
     metrics.update(common_layers(table))
     metrics.update(compiled_layers(*traced["counters"]))
     metrics.update(training_layers(table, traced["steps"]))

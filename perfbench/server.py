@@ -1,13 +1,13 @@
 """The serving program under test, run in its own process.
 
-Boots registry -> (pool) -> service -> gateway over a localhost socket for
-one serving workload, prints ``READY <port>`` once it accepts requests, and
-serves until its standard input closes.  Then it drains, stops the pool and,
-in a traced run, writes its spans to ``--trace-out``.
+Boots registry -> warm process pool -> service -> gateway on a localhost
+socket, prints ``READY <port>`` once it accepts requests, and serves until
+its standard input closes.  Then it drains, stops the pool and, in a traced
+run, writes its spans to ``--trace-out``.
 
 Run by ``run.py``; by hand::
 
-    PYTHONPATH=src python3 perfbench/server.py --workload wire-small \\
+    PYTHONPATH=src python3 perfbench/server.py --workload burst-mixed \\
         --registry <dir> --model bench
 """
 from __future__ import annotations
@@ -31,12 +31,9 @@ async def serve(args):
 
     workload = WORKLOADS[args.workload]
     registry = ModelRegistry(args.registry)
-    pool = None
-    if workload.name == "burst-mixed":
-        pool = WorkerPool(2, mode="process")
-        resolved = registry.resolve(args.model)
-        pool.prewarm(resolved.path, registry.generation)
-        pool.wait_idle()
+    pool = WorkerPool(2, mode="process")
+    pool.prewarm(registry.resolve(args.model).path, registry.generation)
+    pool.wait_idle()
     service = ImputationService(registry, executor=pool, **workload.service)
     server = await GatewayServer(Gateway(service)).start()
     print(f"READY {server.port}", flush=True)
@@ -44,8 +41,7 @@ async def serve(args):
     loop = asyncio.get_running_loop()
     await loop.run_in_executor(None, sys.stdin.buffer.read)
     await server.shutdown()
-    if pool is not None:
-        pool.stop()
+    pool.stop()
     if recorder is not None:
         recorder.dump(args.trace_out)
 

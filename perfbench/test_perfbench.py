@@ -132,29 +132,22 @@ def test_outermost_skips_nested_calls_of_the_same_name():
 
 
 # -- seeded inputs -----------------------------------------------------------
-@pytest.mark.parametrize("name", ["wire-small", "burst-mixed"])
-def test_the_same_seed_gives_byte_identical_request_bodies(name):
-    from repro.serving.gateway import (
-        JSON_CONTENT_TYPE,
-        NPZ_CONTENT_TYPE,
-        encode_impute_request,
-    )
+def test_the_same_seed_gives_byte_identical_request_bodies():
+    from repro.serving.gateway import NPZ_CONTENT_TYPE, encode_impute_request
 
-    workload = WORKLOADS[name]
-    dataset = workload.dataset()
-    codec = JSON_CONTENT_TYPE if name == "wire-small" else NPZ_CONTENT_TYPE
+    dataset = WORKLOADS["burst-mixed"].dataset()
 
     def bodies(seed):
-        return [encode_impute_request(to_imputation_request(spec, "bench"), codec)
-                for spec in make_requests(workload, dataset, seed, 16)]
+        return [encode_impute_request(to_imputation_request(spec, "bench"),
+                                      NPZ_CONTENT_TYPE)
+                for spec in make_requests(dataset, seed, 16)]
 
     assert bodies(3) == bodies(3)
     assert bodies(3) != bodies(4)
 
 
 def test_bursts_cycle_the_fixed_templates():
-    workload = WORKLOADS["burst-mixed"]
-    specs = make_requests(workload, workload.dataset(), 0, 24)
+    specs = make_requests(WORKLOADS["burst-mixed"].dataset(), 0, 24)
     shapes = [(len(spec.values), spec.num_samples) for spec in specs]
     assert shapes[:8] == shapes[16:24]
     assert {length for length, _ in shapes} >= {6, 12, 20, 30}
@@ -186,7 +179,7 @@ def test_layer_builders_yield_every_per_layer_metric():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("workload, seconds", [
-    ("wire-small", "3"), ("burst-mixed", "4"), ("offline-large", "4"),
+    ("burst-mixed", "4"), ("offline-large", "4"),
 ])
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_the_command_prints_every_metric_with_its_unit(workload, seconds, trace):

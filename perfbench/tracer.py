@@ -291,6 +291,7 @@ def install(recorder):
     recorder.patch(gateway, "encode_response_body", "gateway.encode")
     recorder.patch(service.ImputationService, "submit", "service.submit",
                    adopt=_request_values)
+    recorder.patch(registry.ModelRegistry, "resolve", "registry.resolve")
     recorder.patch(registry.ModelRegistry, "backend", "registry.backend")
     recorder.patch(io, "load_model", "io.load_model")
     recorder.patch(pool, "execute_batch", "backend.execute",

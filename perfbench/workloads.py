@@ -6,8 +6,8 @@ and, in offline-large, the sampling noise of the impute passes.  The same
 seed gives byte-identical request bodies.  The training fixture (synthetic
 dataset and model initialisation) is fixed by ``FIXTURE_SEED`` instead, so
 ``mae`` and ``train_loss`` compare across seeds: with a seed-dependent
-fixture the final loss of the 60-step served models spread by a factor of
-four between seeds.
+fixture the final loss of 60-step served models spread by a factor of four
+between seeds.
 """
 from __future__ import annotations
 
@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+FIXTURE_SEED = 1
+
 #: The fixed (length, num_samples) composition of every burst in
 #: burst-mixed, cycled burst by burst.  With a 12-step window and the pool
 #: splitting each 8-request batch 4 | 4, worker 0 runs chunks of 8+3 and 8+7
 #: items and worker 1 runs 8+5 and 8+2, so each worker's compiled cache
 #: holds three signatures and every burst after the warm-up replays.
-FIXTURE_SEED = 1
-
 BURST_TEMPLATES = (
     ((12, 1), (6, 4), (20, 1), (12, 4), (30, 1), (12, 1), (6, 1), (20, 4)),
     ((6, 1), (12, 1), (30, 4), (12, 1), (20, 1), (6, 4), (12, 1), (30, 1)),
@@ -70,15 +70,6 @@ class Workload:
 
 
 WORKLOADS = {
-    "wire-small": Workload(
-        name="wire-small", num_nodes=6, window=12, diffusion_steps=8,
-        dtype="float64", num_days=8, fit_steps=120, batch_size=4,
-        setup_repeats=5,
-        # One request per batch: with two connections a time-based flush
-        # would make batch composition depend on arrival timing.
-        service={"max_batch_requests": 1, "max_delay_seconds": 0.0},
-        nominal_ops_per_s=80.0,
-    ),
     "burst-mixed": Workload(
         name="burst-mixed", num_nodes=8, window=12, diffusion_steps=20,
         dtype="float32", num_days=8, fit_steps=120, batch_size=4,
@@ -131,15 +122,13 @@ class RequestSpec:
     seed: int
 
 
-def make_requests(workload, dataset, seed, count):
-    """``count`` seeded requests cut from the dataset's test segment."""
+def make_requests(dataset, seed, count):
+    """``count`` seeded burst-mixed requests cut from the dataset's test
+    segment, following the burst templates."""
     rng = np.random.default_rng([int(seed), 0x5EED])
     values, observed, evaluation = dataset.segment("test")
-    if workload.name == "burst-mixed":
-        shapes = [shape for index in range(-(-count // 8))
-                  for shape in BURST_TEMPLATES[index % len(BURST_TEMPLATES)]][:count]
-    else:
-        shapes = [(workload.window, workload.num_samples)] * count
+    shapes = [shape for index in range(-(-count // 8))
+              for shape in BURST_TEMPLATES[index % len(BURST_TEMPLATES)]][:count]
     requests = []
     for length, num_samples in shapes:
         start = int(rng.integers(0, len(values) - length + 1))
