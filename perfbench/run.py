@@ -43,18 +43,21 @@ import numpy as np  # noqa: E402
 
 import tracer  # noqa: E402
 from workloads import (  # noqa: E402
+    BURST,
     BURST_TEMPLATES,
-    WORKLOADS,
+    MODEL_NAME,
+    config,
+    dataset,
     final_loss,
     make_requests,
     timed_fit,
     to_imputation_request,
 )
 
-MODEL_NAME = "bench"
 GATE_SAMPLE = 12                    # wire responses re-served in-process per run
 START_TIMEOUT = 120                 # seconds for a server to print READY
 STATE_DIR = ".perfbench-state"      # checksums, results, spans, scratch registries
+SETUP_REPEATS = 3                   # set-ups per run; setup_s is their median
 
 
 class BenchmarkError(RuntimeError):
@@ -109,8 +112,29 @@ def host_facts():
     }
 
 
+def program_digest(root):
+    """Digest of every file under ``src/`` and of the benchmark's own files.
+
+    Part of every checksum key, so a run's outputs are compared only with
+    earlier runs of the same code, never across commits that share a
+    workspace.
+    """
+    hasher = hashlib.blake2b(digest_size=8)
+    for top in (os.path.join(root, "src"), HERE):
+        for directory, subdirs, files in os.walk(top):
+            subdirs[:] = sorted(d for d in subdirs
+                                if d != "__pycache__" and not d.startswith("."))
+            for name in sorted(files):
+                path = os.path.join(directory, name)
+                hasher.update(os.path.relpath(path, top).encode() + b"\0")
+                with open(path, "rb") as handle:
+                    hasher.update(handle.read())
+    return hasher.hexdigest()
+
+
 class ChecksumLog:
-    """Per-operation digests of the first run of each (workload, seed, size).
+    """Per-operation digests of the first run of each (program, workload,
+    seed, size).
 
     Every later run with the same key must reproduce them exactly; a
     differing digest counts that operation as failed.
@@ -237,12 +261,11 @@ async def get_stats(port):
 class ServerProcess:
     """The program under test in its own process (``server.py``)."""
 
-    def __init__(self, root, workload, registry, trace_out=""):
+    def __init__(self, root, registry, trace_out=""):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(root, "src")
         command = [sys.executable, os.path.join(HERE, "server.py"),
-                   "--workload", workload, "--registry", registry,
-                   "--model", MODEL_NAME]
+                   "--registry", registry]
         if trace_out:
             command += ["--trace-out", trace_out]
         self.process = subprocess.Popen(command, stdin=subprocess.PIPE,
@@ -280,26 +303,28 @@ class Exchange:
         self.bytes = 0
 
 
-def _headers(codec, index):
-    return {"Content-Type": codec, "Accept": codec, "X-Request-Id": str(index)}
+def _headers(index):
+    from repro.serving.gateway import NPZ_CONTENT_TYPE
+    return {"Content-Type": NPZ_CONTENT_TYPE, "Accept": NPZ_CONTENT_TYPE,
+            "X-Request-Id": str(index)}
 
 
-async def run_burst_loop(port, bodies, codec, indices, burst=8):
-    """One connection, closed over bursts: ``burst`` async submits (202 +
+async def run_burst_loop(port, bodies, indices):
+    """One connection, closed over bursts: ``BURST`` async submits (202 +
     ticket), then a blocking fetch of each result; a request's latency runs
     from its burst's first send."""
     connection = await Connection.open(port)
     records = []
     try:
-        for begin in range(0, len(indices), burst):
-            group = [Exchange(index) for index in indices[begin:begin + burst]]
+        for begin in range(0, len(indices), BURST):
+            group = [Exchange(index) for index in indices[begin:begin + BURST]]
             started = time.perf_counter()
             tickets = []
             for record in group:
                 record.sent = started
                 status, body = await connection.request(
                     "POST", "/v1/impute", bodies[record.index],
-                    _headers(codec, record.index))
+                    _headers(record.index))
                 record.bytes = len(bodies[record.index]) + len(body)
                 tickets.append(json.loads(body)["ticket"] if status == 202 else None)
                 record.status = status
@@ -307,7 +332,7 @@ async def run_burst_loop(port, bodies, codec, indices, burst=8):
                 if ticket is not None:
                     record.status, record.body = await connection.request(
                         "GET", f"/v1/result/{ticket}?timeout=60", b"",
-                        _headers(codec, record.index))
+                        _headers(record.index))
                     record.bytes += len(record.body)
                 record.done = time.perf_counter()
             records.extend(group)
@@ -316,15 +341,14 @@ async def run_burst_loop(port, bodies, codec, indices, burst=8):
     return records
 
 
-def serving_phase(root, workload, registry, bodies, codec, warm, timed=(),
-                  trace_out=""):
+def serving_phase(root, registry, bodies, warm, timed=(), trace_out=""):
     """Boot the server and warm it up (the set-up), then run the timed phase
     (if any) between two counter readings; the server is stopped on return."""
     phase = {}
     started = time.perf_counter()
-    server = ServerProcess(root, workload.name, registry, trace_out)
+    server = ServerProcess(root, registry, trace_out)
     try:
-        warm_records = asyncio.run(run_burst_loop(server.port, bodies, codec, warm))
+        warm_records = asyncio.run(run_burst_loop(server.port, bodies, warm))
         phase["setup_s"] = time.perf_counter() - started
         if any(record.status != 200 for record in warm_records):
             raise BenchmarkError("a warm-up request failed")
@@ -333,7 +357,7 @@ def serving_phase(root, workload, registry, bodies, codec, warm, timed=(),
             cpu_before = tree_cpu_seconds(server.pid)
             phase["t0"] = time.perf_counter()
             phase["records"] = asyncio.run(
-                run_burst_loop(server.port, bodies, codec, timed))
+                run_burst_loop(server.port, bodies, timed))
             phase["t1"] = time.perf_counter()
             phase["cpu"] = tree_cpu_seconds(server.pid) - cpu_before
             phase["after"] = asyncio.run(get_stats(server.port))
@@ -345,6 +369,14 @@ def serving_phase(root, workload, registry, bodies, codec, warm, timed=(),
     return phase
 
 
+# burst-mixed: the served model has 8 nodes and runs in float32 with 20
+# diffusion steps; the server is ``server.py``.
+BURST_NODES = 8
+# Requests per measured second: fixes a run's request count from --seconds
+# alone, never from a rate measured in the same run.
+BURST_REQUESTS_PER_SECOND = 40.0
+
+
 def run_serving(args, root, scratch, checksums):
     from repro import ModelRegistry, PriSTI
     from repro.serving.gateway import (
@@ -353,27 +385,26 @@ def run_serving(args, root, scratch, checksums):
         encode_impute_request,
     )
 
-    workload = WORKLOADS[args.workload]
-    codec = NPZ_CONTENT_TYPE
-    count = max(int(round(args.seconds * workload.nominal_ops_per_s)) // 8, 1) * 8
-    warm_count = 8 * len(BURST_TEMPLATES)          # one burst of each composition
+    count = max(int(round(args.seconds * BURST_REQUESTS_PER_SECOND)) // BURST, 1) * BURST
+    warm_count = BURST * len(BURST_TEMPLATES)      # one burst of each composition
 
     # Fixture preparation (not part of set-up): data, the served model, and
     # the encoded requests.
-    dataset = workload.dataset()
-    model = PriSTI(workload.config())
-    timed_fit(model, dataset)
+    data = dataset(BURST_NODES)
+    model = PriSTI(config(window=12, diffusion_steps=20, dtype="float32",
+                          fit_steps=120, batch_size=4, inference_batch_size=8))
+    timed_fit(model, data)
     registry_dir = os.path.join(scratch, "registry")
     ModelRegistry(registry_dir).publish(model, MODEL_NAME)
-    specs = make_requests(dataset, args.seed, warm_count + count)
-    bodies = [encode_impute_request(to_imputation_request(spec, MODEL_NAME), codec)
+    specs = make_requests(data, args.seed, warm_count + count)
+    bodies = [encode_impute_request(to_imputation_request(spec), NPZ_CONTENT_TYPE)
               for spec in specs]
     warm = list(range(warm_count))
     timed = list(range(warm_count, warm_count + count))
 
-    setups = [serving_phase(root, workload, registry_dir, bodies, codec, warm)["setup_s"]
-              for _ in range(workload.setup_repeats - 1)]
-    phase = serving_phase(root, workload, registry_dir, bodies, codec, warm, timed)
+    setups = [serving_phase(root, registry_dir, bodies, warm)["setup_s"]
+              for _ in range(SETUP_REPEATS - 1)]
+    phase = serving_phase(root, registry_dir, bodies, warm, timed)
     setups.append(phase["setup_s"])
 
     # Correctness: decode every response, compare per-request digests with
@@ -384,7 +415,7 @@ def run_serving(args, root, scratch, checksums):
         if record.status != 200:
             failed.add(record.index)
             continue
-        response = decode_response_body(codec, record.body)
+        response = decode_response_body(NPZ_CONTENT_TYPE, record.body)
         spec = specs[record.index]
         if (response["median"].shape != spec.values.shape
                 or not np.isfinite(response["samples"]).all()):
@@ -395,7 +426,7 @@ def run_serving(args, root, scratch, checksums):
         raise BenchmarkError("no timed request was served")
     digests = [digest(decoded[i]["median"], decoded[i]["samples"]) if i in decoded
                else "missing" for i in timed]
-    key = f"{workload.name}|seed={args.seed}|requests={count}"
+    key = f"{program_digest(root)}|{args.workload}|seed={args.seed}|requests={count}"
     failed.update(timed[i] for i in checksums.compare(key, digests))
     failed.update(gate_against_serve(registry_dir, specs, decoded, args.seed))
 
@@ -428,9 +459,9 @@ def run_serving(args, root, scratch, checksums):
               "metrics": metrics, "info": info}
     if args.trace:
         spans_path = spans_file(scratch, args)
-        traced = serving_phase(root, workload, registry_dir, bodies, codec, warm,
-                               timed, trace_out=spans_path)
-        traced_responses = [decode_response_body(codec, record.body)
+        traced = serving_phase(root, registry_dir, bodies, warm, timed,
+                               trace_out=spans_path)
+        traced_responses = [decode_response_body(NPZ_CONTENT_TYPE, record.body)
                             if record.status == 200 else None
                             for record in traced["records"]]
         bad = [i for i, (first, response) in enumerate(zip(digests, traced_responses))
@@ -456,7 +487,7 @@ def gate_against_serve(registry_dir, specs, decoded, seed):
     sample = rng.choice(indices, size=min(GATE_SAMPLE, len(indices)), replace=False)
     failed = []
     for index in sample:
-        reference = service.serve(to_imputation_request(specs[index], MODEL_NAME))
+        reference = service.serve(to_imputation_request(specs[index]))
         response = decoded[index]
         if not (np.array_equal(reference.median, response["median"])
                 and np.array_equal(reference.samples, response["samples"])
@@ -467,7 +498,7 @@ def gate_against_serve(registry_dir, specs, decoded, seed):
 
 def steadiness_guards(before, after, count):
     """Conditions under which a burst-mixed run is comparable to another."""
-    bursts = count // 8
+    bursts = count // BURST
 
     def delta(name):
         return after[name] - before[name]
@@ -482,27 +513,34 @@ def steadiness_guards(before, after, count):
 # ---------------------------------------------------------------------------
 # Offline workload (one process: fit, then repeated impute)
 # ---------------------------------------------------------------------------
-def run_offline(args, root, scratch, checksums, setups=None):
+# offline-large: 16 nodes, window 24, float64; fit is a fixed budget of 100
+# gradient steps, the fewest that give the step latencies a p90 tail.
+OFFLINE_NODES = 16
+OFFLINE_WINDOW = 24
+OFFLINE_FIT_STEPS = 100
+
+
+def run_offline(args, root, scratch, checksums, setups=SETUP_REPEATS):
     from repro import PriSTI, load_model, save_model
     from repro.inference.compiled import compiled_metrics
 
-    workload = WORKLOADS[args.workload]
-    setups = setups or workload.setup_repeats
-    steps = workload.fit_steps
+    steps = OFFLINE_FIT_STEPS
     passes = max(int(round(args.seconds / 2)), 3)      # ~2 s per warm pass
-    dataset = workload.dataset()
-    values, observed, evaluation = dataset.segment("test")
+    data = dataset(OFFLINE_NODES)
+    values, observed, evaluation = data.segment("test")
     scored = evaluation & observed
     impute_seed = [int(args.seed), 0x1397]
 
     def impute(model):
         model.diffusion.rng = np.random.default_rng(impute_seed)
-        return model.impute(dataset, "test")
+        return model.impute(data, "test")
 
     cpu0 = time.process_time()
-    fitted = PriSTI(workload.config())
+    fitted = PriSTI(config(window=OFFLINE_WINDOW, diffusion_steps=20, dtype="float64",
+                           fit_steps=steps, batch_size=8, num_samples=8,
+                           inference_batch_size=16))
     fit_start = time.perf_counter()
-    step_seconds = timed_fit(fitted, dataset)
+    step_seconds = timed_fit(fitted, data)
     fit_end = time.perf_counter()
     artifact = os.path.join(scratch, "model")
     save_model(fitted, artifact)
@@ -527,13 +565,13 @@ def run_offline(args, root, scratch, checksums, setups=None):
     bad_passes = [i for i, output in enumerate(outputs)
                   if not (np.isfinite(output.samples).all()
                           and np.array_equal(output.samples, reference))]
-    key = f"{workload.name}|seed={args.seed}|steps={steps}"
+    key = f"{program_digest(root)}|{args.workload}|seed={args.seed}|steps={steps}"
     if checksums.compare(key, [digest(reference)]):
         bad_passes = list(range(passes))
     failed += len(bad_passes)
     attempted = steps + passes
     items = reference.shape[0] * len(model.backend().engine.window_starts(
-        len(values), workload.window, workload.window))
+        len(values), OFFLINE_WINDOW, OFFLINE_WINDOW))
     p50, tail, percentile = latency_summary(step_seconds)
     metrics = {
         "setup_s": statistics.median(setup_runs),
@@ -628,11 +666,7 @@ def registry_load_ms(table):
 def common_layers(table):
     chunks = table.named("compiled.chunk")
     return {
-        # execute_batch on the request path, impute_segment on the dataset path
-        "backend.execute_ms": table.mean_self_ms("backend.execute",
-                                                 "backend.impute_segment"),
-        "backend.plan_ms": table.mean_self_ms("backend.plan"),
-        "backend.assemble_ms": table.mean_self_ms("backend.assemble"),
+        "backend.execute_ms": table.mean_self_ms("backend.impute_segment"),
         "engine.sample_ms": table.mean_self_ms("engine.sample_plans"),
         "engine.items_per_chunk": _share(sum(span.size for span in chunks), len(chunks)),
         "compiled.replay_ms": table.mean_self_ms("compiled.replay"),
@@ -692,7 +726,6 @@ def serving_layers(untraced, traced, spans, responses):
         intervals = [(max(start, record.sent), min(end, record.done))
                      for start, end in by_rid.get(str(record.index), ())]
         coverage.append(tracer.union_length(intervals) / (record.done - record.sent))
-    lookups = delta("registry.cache.hits") + delta("registry.cache.misses")
     roundtrips = table.named("pool.roundtrip")
     metrics = {
         "gateway.handle_ms": table.mean_self_ms("gateway.handle"),
@@ -708,7 +741,6 @@ def serving_layers(untraced, traced, spans, responses):
         "service.batch_requests": _share(delta("service.requests.served"),
                                           delta("service.batches")),
         "registry.load_ms": registry_load_ms(table),
-        "registry.cache_hit_share": _share(delta("registry.cache.hits"), lookups),
         "pool.roundtrip_ms": 1000.0 * _share(
             sum(span.end - span.start for span in roundtrips), len(roundtrips)),
         "pool.prefork_s": after["pool.warm.seconds"],
@@ -765,11 +797,11 @@ PER_LAYER_UNITS = {
     "gateway.wire_ms": "ms", "gateway.body_bytes": "bytes",
     "service.submit_ms": "ms", "service.queue_wait_ms": "ms",
     "service.batch_ms": "ms", "service.batch_requests": "count",
-    "registry.load_ms": "ms", "registry.cache_hit_share": "share",
+    "registry.load_ms": "ms",
     "pool.roundtrip_ms": "ms", "pool.prefork_s": "s", "pool.split_share": "share",
     "pool.steals": "count", "pool.backlog_max": "count",
     "transport.bytes_per_request": "bytes", "transport.segments_created": "count",
-    "backend.execute_ms": "ms", "backend.plan_ms": "ms", "backend.assemble_ms": "ms",
+    "backend.execute_ms": "ms",
     "engine.sample_ms": "ms", "engine.items_per_chunk": "count",
     "compiled.replay_ms": "ms", "compiled.compile_s": "s",
     "compiled.hit_share": "share", "compiled.misses": "count",
@@ -792,9 +824,16 @@ def check_against_spec(metrics, spec, trace):
             f"have {sorted(metrics)} in units {units}")
 
 
+#: workload -> (untraced runner, traced runner)
+RUNNERS = {
+    "burst-mixed": (run_serving, run_serving),
+    "offline-large": (run_offline, run_offline_traced),
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Run one benchmark workload.")
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", required=True, choices=sorted(RUNNERS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -814,11 +853,7 @@ def main(argv=None):
     os.makedirs(scratch, exist_ok=True)
     checksums = ChecksumLog(os.path.join(state, "checksums.json"))
     try:
-        if args.workload == "offline-large":
-            runner = run_offline_traced if args.trace else run_offline
-        else:
-            runner = run_serving
-        result = runner(args, root, scratch, checksums)
+        result = RUNNERS[args.workload][args.trace](args, root, scratch, checksums)
         check_against_spec(result["metrics"], spec, args.trace)
     except BenchmarkError as error:
         print(f"perfbench: {error}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""The serving program under test, run in its own process.
+"""The burst-mixed serving program under test, run in its own process.
 
 Boots registry -> warm process pool -> service -> gateway on a localhost
 socket, prints ``READY <port>`` once it accepts requests, and serves until
@@ -7,8 +7,7 @@ run, writes its spans to ``--trace-out``.
 
 Run by ``run.py``; by hand::
 
-    PYTHONPATH=src python3 perfbench/server.py --workload burst-mixed \\
-        --registry <dir> --model bench
+    PYTHONPATH=src python3 perfbench/server.py --registry <dir>
 """
 from __future__ import annotations
 
@@ -20,7 +19,10 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import tracer  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import BURST, MODEL_NAME  # noqa: E402
+
+# Only the size trigger flushes: one batch per burst.
+MAX_DELAY_SECONDS = 30.0
 
 
 async def serve(args):
@@ -29,12 +31,12 @@ async def serve(args):
         recorder = tracer.install(tracer.Recorder())
     from repro import Gateway, GatewayServer, ImputationService, ModelRegistry, WorkerPool
 
-    workload = WORKLOADS[args.workload]
     registry = ModelRegistry(args.registry)
     pool = WorkerPool(2, mode="process")
-    pool.prewarm(registry.resolve(args.model).path, registry.generation)
+    pool.prewarm(registry.resolve(MODEL_NAME).path, registry.generation)
     pool.wait_idle()
-    service = ImputationService(registry, executor=pool, **workload.service)
+    service = ImputationService(registry, executor=pool, max_batch_requests=BURST,
+                                max_delay_seconds=MAX_DELAY_SECONDS)
     server = await GatewayServer(Gateway(service)).start()
     print(f"READY {server.port}", flush=True)
 
@@ -48,9 +50,7 @@ async def serve(args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--registry", required=True)
-    parser.add_argument("--model", required=True)
     parser.add_argument("--trace-out", default="")
     asyncio.run(serve(parser.parse_args()))
 

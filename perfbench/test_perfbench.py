@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import run  # noqa: E402
 import tracer  # noqa: E402
-from workloads import WORKLOADS, make_requests, to_imputation_request  # noqa: E402
+from workloads import BURST, dataset, make_requests, to_imputation_request  # noqa: E402
 
 
 def _spec():
@@ -135,23 +135,43 @@ def test_outermost_skips_nested_calls_of_the_same_name():
 def test_the_same_seed_gives_byte_identical_request_bodies():
     from repro.serving.gateway import NPZ_CONTENT_TYPE, encode_impute_request
 
-    dataset = WORKLOADS["burst-mixed"].dataset()
+    data = dataset(run.BURST_NODES)
 
     def bodies(seed):
-        return [encode_impute_request(to_imputation_request(spec, "bench"),
-                                      NPZ_CONTENT_TYPE)
-                for spec in make_requests(dataset, seed, 16)]
+        return [encode_impute_request(to_imputation_request(spec), NPZ_CONTENT_TYPE)
+                for spec in make_requests(data, seed, 2 * BURST)]
 
     assert bodies(3) == bodies(3)
     assert bodies(3) != bodies(4)
 
 
 def test_bursts_cycle_the_fixed_templates():
-    specs = make_requests(WORKLOADS["burst-mixed"].dataset(), 0, 24)
+    specs = make_requests(dataset(run.BURST_NODES), 0, 3 * BURST)
     shapes = [(len(spec.values), spec.num_samples) for spec in specs]
-    assert shapes[:8] == shapes[16:24]
+    assert shapes[:BURST] == shapes[2 * BURST:]
     assert {length for length, _ in shapes} >= {6, 12, 20, 30}
     assert {samples for _, samples in shapes} == {1, 4}
+
+
+# -- checksum keys -------------------------------------------------------------
+def test_program_digest_follows_the_source_tree(tmp_path):
+    def tree(name, text):
+        source = tmp_path / name / "src" / "repro"
+        source.mkdir(parents=True)
+        (source / "kernel.py").write_text(text)
+        return str(tmp_path / name)
+
+    same, other = tree("a", "x = 1\n"), tree("b", "x = 1\n")
+    changed = tree("c", "x = 2\n")
+    assert run.program_digest(same) == run.program_digest(other)
+    assert run.program_digest(same) != run.program_digest(changed)
+
+
+def test_checksum_log_compares_only_runs_with_the_same_key(tmp_path):
+    log = run.ChecksumLog(str(tmp_path / "checksums.json"))
+    assert log.compare("program-a|seed=1", ["x", "y"]) == []
+    assert log.compare("program-a|seed=1", ["x", "z"]) == [1]
+    assert log.compare("program-b|seed=1", ["x", "z"]) == []
 
 
 # -- every metric BENCHMARK.json names, with its unit -------------------------

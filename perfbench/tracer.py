@@ -60,8 +60,7 @@ class Span:
 class Recorder:
     """Collects spans in memory; one instance per traced process."""
 
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans = []
         self._ids = itertools.count(1)
         self._current = contextvars.ContextVar("perfbench_span", default=None)
@@ -85,14 +84,14 @@ class Recorder:
                 rids = parent.rids
             else:
                 rids = tuple(dict.fromkeys(r for span in linked for r in span.rids))
-        span = Span(next(self._ids), name, self.clock(),
+        span = Span(next(self._ids), name, time.perf_counter(),
                     parent.sid if parent is not None else None, rids, size)
         span.up = parent
         token = self._current.set(span)
         return span, token
 
     def close(self, span, token):
-        span.end = self.clock()
+        span.end = time.perf_counter()
         self._current.reset(token)
         self.spans.append(span)
 
@@ -166,8 +165,8 @@ class Recorder:
         """Replace ``owner.attribute`` (a class or module) with a wrapper.
 
         Module-level functions are also replaced wherever another loaded
-        module imported them by name, so ``from .pool import execute_batch``
-        call sites are traced too.
+        module imported them by name, so ``from .compiled import
+        sample_chunk_compiled`` call sites are traced too.
         """
         function = owner.__dict__[attribute]
         wrapped = self.wrap(function, name, **options)
@@ -294,13 +293,9 @@ def install(recorder):
     recorder.patch(registry.ModelRegistry, "resolve", "registry.resolve")
     recorder.patch(registry.ModelRegistry, "backend", "registry.backend")
     recorder.patch(io, "load_model", "io.load_model")
-    recorder.patch(pool, "execute_batch", "backend.execute",
-                   link=lambda args, kwargs: _payload_values(args[1]))
     _patch_dispatch(recorder, pool.WorkerPool)
     recorder.patch(transport.ShmArena, "stage", "transport.stage")
     recorder.patch(transport.StagedBatch, "read_responses", "transport.read")
-    recorder.patch(backend.DiffusionBackend, "plan_request", "backend.plan")
-    recorder.patch(backend.DiffusionBackend, "assemble", "backend.assemble")
     recorder.patch(backend.DiffusionBackend, "impute_segment", "backend.impute_segment")
     recorder.patch(engine.InferenceEngine, "sample_plans", "engine.sample_plans",
                    size=lambda args, kwargs: len(args[1]))
@@ -335,7 +330,7 @@ def _patch_dispatch(recorder, pool_class):
             inner = getattr(task, hook)
 
             def finished(value, inner=inner):
-                recorder.record("pool.roundtrip", started, recorder.clock(),
+                recorder.record("pool.roundtrip", started, time.perf_counter(),
                                 parent=parent, rids=rids)
                 return inner(value)
             setattr(task, hook, finished)

@@ -1,4 +1,4 @@
-"""Workload definitions and seeded input generation.
+"""Seeded input generation shared by the workloads.
 
 What varies with the run's ``--seed`` is derived here: every request (window
 position, visible mask, length, sample count and the request's noise seed)
@@ -8,15 +8,20 @@ dataset and model initialisation) is fixed by ``FIXTURE_SEED`` instead, so
 ``mae`` and ``train_loss`` compare across seeds: with a seed-dependent
 fixture the final loss of 60-step served models spread by a factor of four
 between seeds.
+
+Each workload's own settings are constants next to its runner in ``run.py``.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 FIXTURE_SEED = 1
+NUM_DAYS = 8                        # length of the synthetic dataset
+MODEL_NAME = "bench"                # name of the served model
+BURST = 8                           # requests per burst in burst-mixed
 
 #: The fixed (length, num_samples) composition of every burst in
 #: burst-mixed, cycled burst by burst.  With a 12-step window and the pool
@@ -27,67 +32,34 @@ BURST_TEMPLATES = (
     ((12, 1), (6, 4), (20, 1), (12, 4), (30, 1), (12, 1), (6, 1), (20, 4)),
     ((6, 1), (12, 1), (30, 4), (12, 1), (20, 1), (6, 4), (12, 1), (30, 1)),
 )
+assert all(len(template) == BURST for template in BURST_TEMPLATES)
 
 
-@dataclass(frozen=True)
-class Workload:
-    name: str
-    num_nodes: int
-    window: int
-    diffusion_steps: int
-    dtype: str
-    num_days: int
-    # Fixed fit budget, one gradient step per epoch; offline-large's 100 steps
-    # are the fewest that give its step latencies a p90 tail.
-    fit_steps: int
-    batch_size: int
-    setup_repeats: int
-    num_samples: int = 1
-    inference_batch_size: int | None = None
-    service: dict = field(default_factory=dict)
-    # Requests per measured second (serving workloads); fixes a run's request
-    # count from --seconds alone, never from a rate measured in the same run.
-    nominal_ops_per_s: float = 0.0
-
-    def config(self):
-        from repro import PriSTIConfig
-        return PriSTIConfig.fast(
-            window_length=self.window,
-            num_diffusion_steps=self.diffusion_steps,
-            num_samples=self.num_samples,
-            inference_batch_size=self.inference_batch_size,
-            batch_size=self.batch_size,
-            dtype=self.dtype,
-            epochs=self.fit_steps,
-            iterations_per_epoch=1,
-            seed=FIXTURE_SEED,
-        )
-
-    def dataset(self):
-        from repro.data.synthetic import metr_la_like
-        return metr_la_like(num_nodes=self.num_nodes, num_days=self.num_days,
-                            seed=FIXTURE_SEED)
+def config(*, window, diffusion_steps, dtype, fit_steps, batch_size,
+           num_samples=1, inference_batch_size=None):
+    """A fixture model configuration: one gradient step per epoch, so
+    ``fit_steps`` is the fit budget."""
+    from repro import PriSTIConfig
+    return PriSTIConfig.fast(
+        window_length=window,
+        num_diffusion_steps=diffusion_steps,
+        num_samples=num_samples,
+        inference_batch_size=inference_batch_size,
+        batch_size=batch_size,
+        dtype=dtype,
+        epochs=fit_steps,
+        iterations_per_epoch=1,
+        seed=FIXTURE_SEED,
+    )
 
 
-WORKLOADS = {
-    "burst-mixed": Workload(
-        name="burst-mixed", num_nodes=8, window=12, diffusion_steps=20,
-        dtype="float32", num_days=8, fit_steps=120, batch_size=4,
-        setup_repeats=3, inference_batch_size=8,
-        # Only the size trigger flushes: one batch per burst of 8.
-        service={"max_batch_requests": 8, "max_delay_seconds": 30.0},
-        nominal_ops_per_s=40.0,
-    ),
-    "offline-large": Workload(
-        name="offline-large", num_nodes=16, window=24, diffusion_steps=20,
-        dtype="float64", num_days=8, fit_steps=100, batch_size=8,
-        setup_repeats=3, num_samples=8, inference_batch_size=16,
-    ),
-}
+def dataset(num_nodes):
+    from repro.data.synthetic import metr_la_like
+    return metr_la_like(num_nodes=num_nodes, num_days=NUM_DAYS, seed=FIXTURE_SEED)
 
 
-def timed_fit(model, dataset):
-    """``model.fit(dataset)``; returns the wall time of each gradient step
+def timed_fit(model, data):
+    """``model.fit(data)``; returns the wall time of each gradient step
     (one step per epoch, stamped by the trainer's epoch callback)."""
     from repro.training import Callback
 
@@ -102,7 +74,7 @@ def timed_fit(model, dataset):
             self.stamps.append(time.perf_counter())
 
     clock = StepClock()
-    model.fit(dataset, callbacks=[clock])
+    model.fit(data, callbacks=[clock])
     return np.diff(clock.stamps)
 
 
@@ -122,12 +94,12 @@ class RequestSpec:
     seed: int
 
 
-def make_requests(dataset, seed, count):
+def make_requests(data, seed, count):
     """``count`` seeded burst-mixed requests cut from the dataset's test
     segment, following the burst templates."""
     rng = np.random.default_rng([int(seed), 0x5EED])
-    values, observed, evaluation = dataset.segment("test")
-    shapes = [shape for index in range(-(-count // 8))
+    values, observed, evaluation = data.segment("test")
+    shapes = [shape for index in range(-(-count // BURST))
               for shape in BURST_TEMPLATES[index % len(BURST_TEMPLATES)]][:count]
     requests = []
     for length, num_samples in shapes:
@@ -145,8 +117,8 @@ def make_requests(dataset, seed, count):
     return requests
 
 
-def to_imputation_request(spec, model_name):
+def to_imputation_request(spec):
     from repro import ImputationRequest
-    return ImputationRequest(model=model_name, values=spec.values,
+    return ImputationRequest(model=MODEL_NAME, values=spec.values,
                              observed_mask=spec.observed_mask,
                              num_samples=spec.num_samples, seed=spec.seed)
