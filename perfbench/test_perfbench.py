@@ -84,11 +84,10 @@ def test_spans_on_other_threads_link_through_request_objects():
         return request
 
     def execute(payloads):
-        return len(payloads)
+        span, token = recorder.open("execute", link=payloads)
+        recorder.close(span, token)
 
     submit = recorder.wrap(submit, "submit", adopt=lambda args, kwargs: args)
-    execute = recorder.wrap(execute, "execute",
-                            link=lambda args, kwargs: tuple(args[0]))
     requests = [object(), object()]
     parent, token = recorder.open("handle", rids=("r1",))
     for request in requests:

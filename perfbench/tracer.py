@@ -70,6 +70,9 @@ class Recorder:
 
     # -- span lifecycle ---------------------------------------------------
     def open(self, name, *, rids=None, link=(), size=None):
+        """Open a span under the one open on this thread.  With none open,
+        the parent is the first still-open span (or its nearest open
+        ancestor) that adopted one of the ``link`` objects."""
         parent = self._current.get()
         linked = []
         if parent is None:
@@ -100,7 +103,6 @@ class Recorder:
         span = Span(next(self._ids), name, start, parent, rids)
         span.end = end
         self.spans.append(span)
-        return span
 
     def adopt(self, *objects):
         """Register ``objects`` as carried by the currently open span."""
@@ -112,12 +114,12 @@ class Recorder:
                 self._owners[id(obj)] = (obj, span)
 
     # -- wrapping ---------------------------------------------------------
-    def wrap(self, function, name, *, link=None, adopt=None, rids=None,
-             size=None, outermost=False):
+    def wrap(self, function, name, *, adopt=None, rids=None, size=None,
+             outermost=False):
         """Return ``function`` wrapped so every call records a span.
 
-        ``link(args, kwargs)`` / ``adopt(args, kwargs)`` return the objects
-        used for cross-thread parent links; ``rids(args, kwargs)`` returns
+        ``adopt(args, kwargs)`` returns the objects later calls on other
+        threads link to (see ``open``); ``rids(args, kwargs)`` returns
         explicit request ids; ``size(args, kwargs)`` an item count stored on
         the span.  ``outermost`` skips calls nested inside a span of the same
         name (module calls inside a network call, recursive backward).
@@ -132,7 +134,6 @@ class Recorder:
             span, token = recorder.open(
                 name,
                 rids=None if rids is None else rids(args, kwargs),
-                link=() if link is None else link(args, kwargs),
                 size=None if size is None else size(args, kwargs))
             if adopt is not None:
                 recorder.adopt(*adopt(args, kwargs))
