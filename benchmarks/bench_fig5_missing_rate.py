@@ -11,24 +11,18 @@ METHODS = ("BRITS", "GRIN", "CSDI", "PriSTI")
 RATES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def test_fig5_missing_rate_point(benchmark, profile, save_table):
-    def run():
-        return run_missing_rate_sweep(methods=METHODS, rates=RATES, pattern="point",
-                                      profile=profile)
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig5_missing_rate_point(profile, save_table):
+    table = run_missing_rate_sweep(methods=METHODS, rates=RATES, pattern="point",
+                                   profile=profile)
     save_table("fig5_missing_rate_point", table)
     for method in METHODS:
         for rate in RATES:
             assert table.cell(method, f"{int(rate * 100)}%") is not None
 
 
-def test_fig5_missing_rate_block(benchmark, profile, save_table):
-    def run():
-        return run_missing_rate_sweep(methods=METHODS, rates=RATES, pattern="block",
-                                      profile=profile)
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig5_missing_rate_block(profile, save_table):
+    table = run_missing_rate_sweep(methods=METHODS, rates=RATES, pattern="block",
+                                   profile=profile)
     save_table("fig5_missing_rate_block", table)
     for method in METHODS:
         assert table.cell(method, "90%") is not None

@@ -11,11 +11,8 @@ from repro.experiments import run_sensor_failure
 METHODS = ("GRIN", "PriSTI")
 
 
-def test_fig7_sensor_failure(benchmark, profile, save_table):
-    def run():
-        return run_sensor_failure(methods=METHODS, profile=profile)
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig7_sensor_failure(profile, save_table):
+    table = run_sensor_failure(methods=METHODS, profile=profile)
     save_table("fig7_sensor_failure", table)
 
     for method in METHODS:

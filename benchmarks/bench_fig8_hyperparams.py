@@ -9,17 +9,14 @@ DESIGN.md.
 from repro.experiments import run_hyperparameter_sweep
 
 
-def test_fig8_hyperparameter_sensitivity(benchmark, profile, save_table):
-    def run():
-        return run_hyperparameter_sweep(
-            profile=profile,
-            channel_sizes=(8, 16, 32),
-            beta_max_values=(0.1, 0.2, 0.4),
-            virtual_nodes=(4, 8),
-            schedules=("quadratic", "linear"),
-        )
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig8_hyperparameter_sensitivity(profile, save_table):
+    table = run_hyperparameter_sweep(
+        profile=profile,
+        channel_sizes=(8, 16, 32),
+        beta_max_values=(0.1, 0.2, 0.4),
+        virtual_nodes=(4, 8),
+        schedules=("quadratic", "linear"),
+    )
     save_table("fig8_hyperparams", table)
 
     assert "channel size d" in table.rows()

@@ -12,11 +12,8 @@ METHODS = ("BRITS", "GRIN", "CSDI", "PriSTI")
 DATASETS = (("aqi36", "failure"), ("metr-la", "block"))
 
 
-def test_fig9_time_costs(benchmark, profile, save_table):
-    def run():
-        return run_time_costs(methods=METHODS, datasets=DATASETS, profile=profile)
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig9_time_costs(profile, save_table):
+    table = run_time_costs(methods=METHODS, datasets=DATASETS, profile=profile)
     save_table("fig9_time_costs", table)
 
     for dataset_name, _ in DATASETS:

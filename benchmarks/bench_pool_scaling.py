@@ -145,12 +145,11 @@ def _run_pooled(registry, requests, mode, num_workers):
                          generation=registry.generation)
         pool.wait_idle(timeout=600)
         warm_seconds = time.perf_counter() - warm_started
-        stats = pool.stats()
         warm = {
             "wall_seconds": round(warm_seconds, 4),
-            "models_warmed": stats["warmed_models"],
+            "models_warmed": pool.metrics_snapshot()["pool.warm.models"],
             "load_seconds_per_worker": [
-                round(seconds, 4) for seconds in stats["warm_seconds"]],
+                round(seconds, 4) for seconds in pool.warm_seconds],
         }
 
         throwaway = [service.submit(request) for request in requests]
@@ -158,22 +157,23 @@ def _run_pooled(registry, requests, mode, num_workers):
         for ticket in throwaway:
             ticket.result(timeout=600)
 
-        before = pool.transport_stats()
+        before = pool.metrics_snapshot()
         started = time.perf_counter()
         tickets = [service.submit(request) for request in requests]
         service.flush()
         responses = [ticket.result(timeout=600) for ticket in tickets]
         seconds = time.perf_counter() - started
-        after = pool.transport_stats()
+        after = pool.metrics_snapshot()
     delta = {key: after[key] - before[key]
-             for key in ("control_bytes_sent", "control_bytes_received",
-                         "shm_bytes_staged")}
+             for key in ("transport.control.bytes_sent",
+                         "transport.control.bytes_received",
+                         "transport.bytes_staged")}
     transport = {
         "control_bytes_per_request": round(
-            (delta["control_bytes_sent"] + delta["control_bytes_received"])
-            / len(requests), 1),
+            (delta["transport.control.bytes_sent"]
+             + delta["transport.control.bytes_received"]) / len(requests), 1),
         "shm_payload_bytes_per_request": round(
-            delta["shm_bytes_staged"] / len(requests), 1),
+            delta["transport.bytes_staged"] / len(requests), 1),
     }
     return seconds, responses, transport, warm
 

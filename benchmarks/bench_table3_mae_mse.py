@@ -8,13 +8,10 @@ datasets: rows are the sixteen methods, columns are
 from repro.experiments import TABLE3_GRID, TABLE3_METHODS, run_imputation_benchmark
 
 
-def test_table3_mae_mse(benchmark, profile, save_table):
-    def run():
-        return run_imputation_benchmark(
-            methods=TABLE3_METHODS, grid=TABLE3_GRID, profile=profile,
-        )
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table3_mae_mse(profile, save_table):
+    table = run_imputation_benchmark(
+        methods=TABLE3_METHODS, grid=TABLE3_GRID, profile=profile,
+    )
     save_table("table3_mae_mse", table)
 
     for dataset_name, pattern in TABLE3_GRID:

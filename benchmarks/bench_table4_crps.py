@@ -3,13 +3,10 @@
 from repro.experiments import PROBABILISTIC_METHODS, TABLE3_GRID, run_crps_benchmark
 
 
-def test_table4_crps(benchmark, profile, save_table):
-    def run():
-        return run_crps_benchmark(
-            methods=PROBABILISTIC_METHODS, grid=TABLE3_GRID, profile=profile,
-        )
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table4_crps(profile, save_table):
+    table = run_crps_benchmark(
+        methods=PROBABILISTIC_METHODS, grid=TABLE3_GRID, profile=profile,
+    )
     save_table("table4_crps", table)
 
     for dataset_name, pattern in TABLE3_GRID:

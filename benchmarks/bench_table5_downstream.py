@@ -8,13 +8,10 @@ that better imputation helps the downstream task.
 from repro.experiments import run_downstream_forecasting
 
 
-def test_table5_downstream_forecasting(benchmark, profile, save_table):
-    def run():
-        return run_downstream_forecasting(
-            methods=("BRITS", "GRIN", "CSDI", "PriSTI"), profile=profile,
-        )
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table5_downstream_forecasting(profile, save_table):
+    table = run_downstream_forecasting(
+        methods=("BRITS", "GRIN", "CSDI", "PriSTI"), profile=profile,
+    )
     save_table("table5_downstream", table)
 
     assert "Ori." in table.rows()

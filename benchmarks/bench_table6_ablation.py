@@ -10,11 +10,8 @@ VARIANTS = ("mix-STI", "w/o CF", "w/o spa", "w/o tem", "w/o MPNN", "w/o Attn", "
 GRID = (("aqi36", "failure"), ("metr-la", "block"), ("metr-la", "point"))
 
 
-def test_table6_ablation(benchmark, profile, save_table):
-    def run():
-        return run_ablation_study(variants=VARIANTS, grid=GRID, profile=profile)
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table6_ablation(profile, save_table):
+    table = run_ablation_study(variants=VARIANTS, grid=GRID, profile=profile)
     save_table("table6_ablation", table)
 
     assert set(table.rows()) == set(VARIANTS)

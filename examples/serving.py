@@ -112,7 +112,7 @@ def main():
     alone = service.serve(requests[0])
     assert np.array_equal(alone.samples, responses[0].samples)
     print("response[0] == same request served alone: bit-identical")
-    print(f"service stats: {service.stats()}")
+    print_metrics("service metrics", service.metrics_snapshot(), "service.")
 
     # 3. Scale out: the same burst through a worker pool.  Shard-aware
     # routing pins each model's batches to a home worker (publish a second
@@ -139,7 +139,7 @@ def main():
     assert np.array_equal(pooled[0].samples, responses[0].samples)
     print(f"\nserved {len(pooled)} requests across 2 pool workers in "
           f"{pooled_seconds:.2f}s (bit-identical to the single-threaded path)")
-    print(f"pool stats: {pool.stats()}")
+    print_metrics("pool metrics", pool.metrics_snapshot(), "pool.")
 
     # 4. Stream ticks through a live session (NaN marks sensor dropouts).
     stream = StreamingImputer(registry.backend("traffic"), num_nodes=dataset.num_nodes,
@@ -169,6 +169,14 @@ def main():
     shutil.rmtree(root, ignore_errors=True)
 
 
+def print_metrics(title, snapshot, prefix):
+    """Print one family of a flat ``{dotted-name: value}`` metrics snapshot."""
+    print(f"{title}:")
+    for name, value in sorted(snapshot.items()):
+        if name.startswith(prefix):
+            print(f"  {name} = {value}")
+
+
 def chaos_demo(registry, requests, clean_responses):
     """Fault injection + the resilience stack, end to end in process."""
     pool = WorkerPool(num_workers=2)
@@ -190,8 +198,9 @@ def chaos_demo(registry, requests, clean_responses):
         np.array_equal(response.samples, clean.samples)
         for response, clean in zip(survived, clean_responses)
     )
-    print(f"\nchaos: {pool.stats()['crashed_batches']} injected worker "
-          f"crashes, {service.stats()['retries']} retries — all "
+    metrics = service.metrics_snapshot()
+    print(f"\nchaos: {metrics['pool.batches.crashed']} injected worker "
+          f"crashes, {metrics['service.retries']} retries — all "
           f"{len(survived)} responses bit-identical to the clean run")
 
     # A deadline the micro-batcher cannot meet + a fallback: the request is
@@ -205,7 +214,7 @@ def chaos_demo(registry, requests, clean_responses):
     degraded = service.submit(rushed).result(timeout=30)
     print(f"rushed request (1 ms deadline): degraded={degraded.degraded}, "
           f"served by the Kalman fallback in "
-          f"{service.stats()['degraded_served']} request(s)")
+          f"{service.metrics_snapshot()['service.requests.degraded']} request(s)")
 
 
 async def gateway_demo(registry, requests):
@@ -217,8 +226,8 @@ async def gateway_demo(registry, requests):
         print(f"\ngateway listening on http://{server.host}:{server.port}")
         client = GatewayClient(server.host, server.port)
 
-        health = await client.request("GET", "/v1/healthz")
-        print(f"GET /v1/healthz -> {health.status} {health.json()}")
+        ready = await client.request("GET", "/v1/healthz/ready")
+        print(f"GET /v1/healthz/ready -> {ready.status} {ready.json()}")
 
         # Async submit: 202 + a ticket, fetched (blocking) at /v1/result.
         submitted = await client.request(
@@ -239,7 +248,8 @@ async def gateway_demo(registry, requests):
               f"({payload['samples'].dtype})")
 
         stats = await client.request("GET", "/v1/stats")
-        print(f"GET /v1/stats -> {stats.json()['gateway']}")
+        print_metrics(f"GET /v1/stats -> {stats.status}", stats.json()["metrics"],
+                      "gateway.")
         await client.close()
 
     # Graceful drain, shown on a slow service so tickets are genuinely

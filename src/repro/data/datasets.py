@@ -27,6 +27,10 @@ from ..graph.generators import SensorNetwork
 __all__ = ["SpatioTemporalDataset", "DatasetSplit"]
 
 
+#: The split names :meth:`SpatioTemporalDataset.segment` accepts.
+_SEGMENT_NAMES = ("train", "valid", "test")
+
+
 @dataclass
 class DatasetSplit:
     """Index ranges of the train/validation/test portions of the time axis."""
@@ -95,7 +99,11 @@ class SpatioTemporalDataset:
         return self.values * self.input_mask
 
     def segment(self, name):
-        """Return ``(values, observed_mask, eval_mask)`` for a split name."""
+        """Return ``(values, observed_mask, eval_mask)`` for a split name
+        (``"train"``, ``"valid"`` or ``"test"``)."""
+        if not isinstance(name, str) or name not in _SEGMENT_NAMES:
+            raise ValueError(f"unknown segment {name!r}: expected one of "
+                             + ", ".join(repr(known) for known in _SEGMENT_NAMES))
         selector = getattr(self.split, name)
         return (
             self.values[selector],

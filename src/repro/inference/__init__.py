@@ -25,10 +25,9 @@ from .compiled import (
     CompiledSampler,
     CompiledStepCache,
     compile_enabled,
-    compiled_counters,
     compiled_metrics,
     register_compiled_metrics,
-    reset_compiled_counters,
+    reset_compiled_metrics,
 )
 from .engine import InferenceEngine, RequestPlan
 
@@ -43,8 +42,7 @@ __all__ = [
     "CompiledSampler",
     "CompiledStepCache",
     "compile_enabled",
-    "compiled_counters",
     "compiled_metrics",
     "register_compiled_metrics",
-    "reset_compiled_counters",
+    "reset_compiled_metrics",
 ]

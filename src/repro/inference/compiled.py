@@ -29,8 +29,9 @@ re-runs the mirror loop eagerly on the same pre-drawn noise.
 
 ``REPRO_COMPILE=0`` (or ``false`` / ``off``) disables compilation process-wide;
 ``PriSTIConfig.compile_inference`` disables it per model.  Module-global
-counters aggregate hits / misses / fallbacks across every cache in the
-process for ``service.stats()`` and the gateway ``/v1/stats``.
+``compiled.*`` counters aggregate hits / misses / fallbacks across every
+cache in the process for ``service.metrics_snapshot()`` and the gateway
+``/v1/stats``.
 """
 
 from __future__ import annotations
@@ -46,15 +47,13 @@ from ..tensor.tensor import get_default_dtype
 from ..tensor.trace import TraceUnsupported, compile_graph, trace
 
 __all__ = [
-    "COMPILED_METRIC_NAMES",
     "FALLBACK",
     "CompiledSampler",
     "CompiledStepCache",
     "compile_enabled",
-    "compiled_counters",
     "compiled_metrics",
     "register_compiled_metrics",
-    "reset_compiled_counters",
+    "reset_compiled_metrics",
     "sample_chunk_compiled",
 ]
 
@@ -76,11 +75,11 @@ def compile_enabled(environ=None):
 
 _GLOBAL_LOCK = threading.Lock()
 _GLOBAL_COUNTERS = {
-    "trace_cache_hits": 0,
-    "trace_cache_misses": 0,
-    "fallback_count": 0,
-    "evictions": 0,
-    "compiled_programs": 0,
+    "compiled.cache.hits": 0,
+    "compiled.cache.misses": 0,
+    "compiled.fallbacks": 0,
+    "compiled.cache.evictions": 0,
+    "compiled.programs": 0,
 }
 
 
@@ -89,23 +88,23 @@ def _bump(name, amount=1):
         _GLOBAL_COUNTERS[name] += amount
 
 
-def compiled_counters():
-    """Aggregated compile counters across every cache in this process.
+def compiled_metrics():
+    """The process-wide ``compiled.*`` counters across every cache.
 
     Process-mode pool workers fold their children's counters back into the
     parent's totals through each batch reply (see
-    :func:`fold_compiled_counters`), so on a pool-owning process this also
+    :func:`fold_compiled_metrics`), so on a pool-owning process this also
     covers work the children did.
     """
     with _GLOBAL_LOCK:
         return dict(_GLOBAL_COUNTERS)
 
 
-def fold_compiled_counters(delta):
-    """Add another process's counter deltas into this process's totals.
+def fold_compiled_metrics(delta):
+    """Add another process's ``compiled.*`` deltas into this process's totals.
 
     The worker pool calls this with the per-batch delta of a child
-    process's cumulative counters, so ``compiled_counters()`` on the
+    process's cumulative counters, so ``compiled_metrics()`` on the
     parent reflects compilation work wherever it physically ran.
     """
     with _GLOBAL_LOCK:
@@ -114,27 +113,11 @@ def fold_compiled_counters(delta):
                 _GLOBAL_COUNTERS[key] += int(amount)
 
 
-def reset_compiled_counters():
+def reset_compiled_metrics():
     """Zero the process-wide counters (tests and benchmarks)."""
     with _GLOBAL_LOCK:
         for key in _GLOBAL_COUNTERS:
             _GLOBAL_COUNTERS[key] = 0
-
-
-#: Legacy counter key -> dotted stable metric name (repro.serving.metrics).
-COMPILED_METRIC_NAMES = {
-    "trace_cache_hits": "compiled.cache.hits",
-    "trace_cache_misses": "compiled.cache.misses",
-    "fallback_count": "compiled.fallbacks",
-    "evictions": "compiled.cache.evictions",
-    "compiled_programs": "compiled.programs",
-}
-
-
-def compiled_metrics():
-    """The process-wide compile counters under their dotted metric names."""
-    counters = compiled_counters()
-    return {COMPILED_METRIC_NAMES[key]: value for key, value in counters.items()}
 
 
 def register_compiled_metrics(metrics):
@@ -145,8 +128,8 @@ def register_compiled_metrics(metrics):
     pool, everything the children fold back through their batch replies) —
     there is no second copy of the totals to drift.
     """
-    for legacy, dotted in COMPILED_METRIC_NAMES.items():
-        metrics.gauge(dotted, fn=lambda key=legacy: compiled_counters()[key])
+    for name in _GLOBAL_COUNTERS:
+        metrics.gauge(name, fn=lambda name=name: _GLOBAL_COUNTERS[name])
     return metrics
 
 
@@ -215,9 +198,9 @@ class CompiledStepCache:
                 if entry is not FALLBACK:
                     self.hits += 1
         if entry is None:
-            _bump("trace_cache_misses")
+            _bump("compiled.cache.misses")
         elif entry is not FALLBACK:
-            _bump("trace_cache_hits")
+            _bump("compiled.cache.hits")
         return entry
 
     def store(self, key, entry):
@@ -230,16 +213,16 @@ class CompiledStepCache:
                 self.evictions += 1
                 evicted += 1
         if evicted:
-            _bump("evictions", evicted)
+            _bump("compiled.cache.evictions", evicted)
         if entry is not FALLBACK:
-            _bump("compiled_programs")
+            _bump("compiled.programs")
         return entry
 
     def count_fallback(self):
         """One chunk was served by the eager path after a compile decision."""
         with self._lock:
             self.fallbacks += 1
-        _bump("fallback_count")
+        _bump("compiled.fallbacks")
 
     def clear(self):
         with self._lock:

@@ -28,9 +28,13 @@ Endpoints
     or ``{"emitted": false}`` between emissions.
 ``DELETE /v1/stream/<session>``
     Close a streaming session.
-``GET /v1/healthz`` / ``GET /v1/stats``
-    Liveness (includes the draining flag) and the full serving counters
-    (gateway, service, registry, executor).
+``GET /v1/healthz/live`` / ``GET /v1/healthz/ready``
+    Liveness and readiness probes (see *Resilience* below).
+``GET /v1/stats``
+    ``{"metrics": ..., "circuits": ...}``: the service's flat metrics
+    snapshot (``gateway.*``, ``service.*``, ``registry.*``, ``compiled.*``,
+    ``pool.*``, ``transport.*`` under their dotted names) plus the per-model
+    circuit-breaker states.
 
 Payload codecs
 --------------
@@ -68,8 +72,8 @@ An ``X-Deadline-Ms`` request header becomes a
 :class:`~repro.serving.resilience.Deadline` on the submitted request —
 unmeetable deadlines are rejected up front with ``429`` (or served by the
 service's degraded fallback, tagged ``"degraded": true`` in the response
-metadata).  ``GET /v1/healthz`` is pure *liveness* (200 while the process
-can answer, even mid-drain); ``GET /v1/healthz/ready`` is *readiness* —
+metadata).  ``GET /v1/healthz/live`` is pure *liveness* (200 while the
+process can answer, even mid-drain); ``GET /v1/healthz/ready`` is *readiness* —
 ``503`` with the blocking reasons while draining, while the pool has dead
 unrespawned workers, or while any model's circuit is open.  Wire-level
 fault injection (:mod:`repro.serving.faults`) can drop connections or
@@ -126,9 +130,13 @@ JSON_CONTENT_TYPE = "application/json"
 NPZ_CONTENT_TYPE = "application/x-npz"
 
 #: Protocol-level metrics the gateway registers into its service's registry,
-#: declared up front so the snapshot schema never depends on traffic.
+#: declared up front so the snapshot schema never depends on traffic.  One
+#: more counter, ``gateway.responses.<status>``, appears per status code
+#: :meth:`Gateway.handle` has answered with.
 GATEWAY_METRIC_SCHEMA = {
     "gateway.requests": "counter",
+    "gateway.requests.json": "counter",
+    "gateway.requests.npz": "counter",
     "gateway.tickets.issued": "counter",
     "gateway.tickets.fetched": "counter",
     "gateway.tickets.unfetched": "gauge",
@@ -478,16 +486,13 @@ class Gateway:
         self._stream_ids = itertools.count(1)
         # Protocol counters (see /v1/stats) live in the service's metrics
         # registry under gateway.* — one snapshot covers gateway + service +
-        # executor.  Per-status / per-codec breakdowns keep their own dicts
-        # (dynamic key sets don't fit the declared-schema contract).
+        # executor.
         self.metrics = service.metrics
         self.metrics.declare(GATEWAY_METRIC_SCHEMA)
         self.metrics.gauge("gateway.tickets.unfetched",
                            fn=lambda: len(self._tickets))
         self.metrics.gauge("gateway.streams.open", fn=lambda: len(self._streams))
         self.metrics.gauge("gateway.draining", fn=lambda: int(self.draining))
-        self.responses_by_status = {}
-        self.codec_counts = {JSON_CONTENT_TYPE: 0, NPZ_CONTENT_TYPE: 0}
         service.start()
 
     # ------------------------------------------------------------------
@@ -516,16 +521,13 @@ class Gateway:
         except Exception as error:                       # noqa: BLE001 - wire boundary
             response = self._respond(500, _error_body(
                 500, "internal", f"{type(error).__name__}: {error}"))
-        self.responses_by_status[response.status] = (
-            self.responses_by_status.get(response.status, 0) + 1)
+        self.metrics.counter(f"gateway.responses.{response.status}").inc()
         return response
 
     async def _route(self, request):
         segments = [segment for segment in request.path.split("/") if segment]
         if len(segments) >= 1 and segments[0] == "v1":
             route = segments[1:]
-            if route == ["healthz"]:
-                return self._require(request, "GET") or self._handle_healthz()
             if route == ["healthz", "live"]:
                 return self._require(request, "GET") or self._handle_live()
             if route == ["healthz", "ready"]:
@@ -559,20 +561,6 @@ class Gateway:
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _handle_healthz(self):
-        """Liveness (always 200 while the process answers) plus a readiness
-        summary; ``/v1/healthz/ready`` is the gating variant that goes 503."""
-        reasons = self._not_ready_reasons()
-        body = {"status": "draining" if self.draining else "ok",
-                "draining": self.draining,
-                "live": True,
-                "ready": not reasons,
-                "pending_tickets": sum(
-                    1 for ticket in self._tickets.values()
-                    if not ticket.pending.done),
-                "open_streams": len(self._streams)}
-        return self._json_response(200, body)
-
     def _handle_live(self):
         """Pure liveness: 200 whenever the event loop can answer at all
         (a draining gateway is still alive — don't restart it)."""
@@ -602,14 +590,16 @@ class Gateway:
         return self._json_response(200, body)
 
     def _handle_stats(self):
-        return self._json_response(200, self.stats())
+        return self._json_response(200, {"metrics": self.service.metrics_snapshot(),
+                                         "circuits": self.service.circuits()})
 
     async def _handle_impute(self, request):
         self._refuse_if_draining()
         imputation = decode_impute_request(request.content_type, request.body)
         imputation.deadline = self._deadline_of(request)
-        self.codec_counts[request.content_type] = (
-            self.codec_counts.get(request.content_type, 0) + 1)
+        self.metrics.counter("gateway.requests.npz"
+                             if request.content_type == NPZ_CONTENT_TYPE
+                             else "gateway.requests.json").inc()
         if len(self._tickets) >= self.max_tickets:
             self.metrics.counter("gateway.rejections.overload").inc()
             return self._respond(429, _error_body(
@@ -716,7 +706,7 @@ class Gateway:
         return self._json_response(200, {"session": session_id, "closed": True})
 
     # ------------------------------------------------------------------
-    # Drain + stats
+    # Drain
     # ------------------------------------------------------------------
     async def drain(self):
         """Refuse new work, then resolve every in-flight ticket.
@@ -740,55 +730,6 @@ class Gateway:
             raise GatewayError(503, "draining",
                                "gateway is draining; no new work accepted",
                                headers={"Connection": "close"})
-
-    # Legacy counter attributes, read-through views of the shared registry.
-    @property
-    def requests_total(self):
-        return self.metrics.counter("gateway.requests").value
-
-    @property
-    def tickets_issued(self):
-        return self.metrics.counter("gateway.tickets.issued").value
-
-    @property
-    def tickets_fetched(self):
-        return self.metrics.counter("gateway.tickets.fetched").value
-
-    @property
-    def overload_rejections(self):
-        return self.metrics.counter("gateway.rejections.overload").value
-
-    @property
-    def drain_rejections(self):
-        return self.metrics.counter("gateway.rejections.drain").value
-
-    def stats(self):
-        """Gateway counters plus the full service/registry/executor picture.
-
-        The legacy nested sections are a shim over the flat snapshot exposed
-        under ``"metrics"`` (which also carries the ``gateway.*`` names).
-        """
-        stats = self.service.stats()
-        snapshot = stats["metrics"]
-        return {
-            "gateway": {
-                "draining": self.draining,
-                "requests_total": snapshot["gateway.requests"],
-                "responses_by_status": {
-                    str(status): count
-                    for status, count in sorted(self.responses_by_status.items())
-                },
-                "codec_requests": dict(self.codec_counts),
-                "tickets_issued": snapshot["gateway.tickets.issued"],
-                "tickets_fetched": snapshot["gateway.tickets.fetched"],
-                "tickets_unfetched": snapshot["gateway.tickets.unfetched"],
-                "open_streams": snapshot["gateway.streams.open"],
-                "overload_rejections": snapshot["gateway.rejections.overload"],
-                "drain_rejections": snapshot["gateway.rejections.drain"],
-            },
-            "service": stats,
-            "metrics": snapshot,
-        }
 
     # ------------------------------------------------------------------
     # Helpers

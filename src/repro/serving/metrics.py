@@ -1,18 +1,17 @@
 """First-class serving metrics: typed instruments behind one stable schema.
 
-Before this module every layer of the serving stack kept its own ad-hoc
-counters — plain ``int`` attributes on the service, the pool, the registry
-and the compiled-step cache — and ``service.stats()`` / ``/v1/stats``
-re-derived a nested dict from them whose keys appeared and disappeared with
-the executor mode.  This module is the redesign: a typed
-:class:`MetricsRegistry` of :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` instruments with **dotted stable names**
+Every counter of the serving stack — service, pool, shm transport, model
+registry, compiled-step caches and gateway — lives in one
+:class:`MetricsRegistry` of typed :class:`Counter` / :class:`Gauge` /
+:class:`Histogram` instruments under a **dotted stable name**
 (``service.queue.depth``, ``pool.steals``, ``transport.bytes_staged``,
-``compiled.cache.hits``) that every component registers into, plus one
-:class:`WorkerCounterMerge` that folds worker-side cumulative counters into
-the parent — the single merge path shared by thread workers, process
-children (compiled + transport counters piggybacked on batch replies) and
-crash bookkeeping.
+``compiled.cache.hits``, ``gateway.responses.200``).  These names are the
+only counter surface: ``ImputationService.metrics_snapshot()`` returns them
+flat, and the gateway's ``/v1/stats`` serves that snapshot under
+``"metrics"``.  One :class:`WorkerCounterMerge` folds worker-side
+cumulative counters into the parent — the single merge path shared by
+thread workers, process children (compiled + transport counters
+piggybacked on batch replies) and crash bookkeeping.
 
 Design rules
 ------------
@@ -25,8 +24,7 @@ Design rules
   snapshot time instead of being pushed on every transition.
 * **Snapshots are flat.**  ``MetricsRegistry.snapshot()`` returns
   ``{dotted-name: number}`` with histogram instruments expanded to
-  ``<name>.count`` / ``.sum`` / ``.min`` / ``.max``.  The legacy nested
-  shapes (``service.stats()``, ``pool.stats()``) are thin shims over this.
+  ``<name>.count`` / ``.sum`` / ``.min`` / ``.max``.
 * **Worker merges are delta-folds.**  A worker (thread or child process)
   reports *cumulative* totals; :class:`WorkerCounterMerge` remembers the
   last snapshot per source and folds only the delta, so repeated folds are

@@ -52,18 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..inference.compiled import compiled_counters, register_compiled_metrics
+from ..inference.compiled import register_compiled_metrics
 from ..metrics import imputation_metrics
 from . import faults
 from .errors import DeadlineExceeded, ServiceOverloaded
 from .metrics import MetricsRegistry
-from .pool import (
-    BatchTask,
-    RequestPayload,
-    execute_batch,
-    inline_executor_stats,
-    zero_executor_snapshot,
-)
+from .pool import BatchTask, RequestPayload, execute_batch, zero_executor_snapshot
 from .registry import ModelRegistry, ResolvedModel
 from .resilience import CircuitBreaker, counts_as_breaker_failure
 
@@ -281,9 +275,8 @@ class ImputationService:
         self._retry_rng = np.random.default_rng(
             np.random.SeedSequence([int(seed) if np.isscalar(seed) else 0, 0x7e7]))
         # Instrumentation: every serving counter lives in the typed registry
-        # under its dotted stable name; .stats() and the legacy attribute
-        # properties below are thin shims over .metrics_snapshot().  The
-        # registry LRU and the process-wide compile counters register
+        # under its dotted stable name, read through .metrics_snapshot().
+        # The registry LRU and the process-wide compile counters register
         # themselves as read-through gauges, so one snapshot covers the
         # whole stack.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -524,45 +517,6 @@ class ImputationService:
         return sum(1 for snapshot in self.circuits().values()
                    if snapshot["state"] == "open")
 
-    # Legacy counter attributes, now read-through views of the registry.
-    # They were plain mutable ints before the metrics redesign; external
-    # writes were never part of the contract, so properties are safe.
-    @property
-    def requests_served(self):
-        return self.metrics.counter("service.requests.served").value
-
-    @property
-    def batches(self):
-        return self.metrics.counter("service.batches").value
-
-    @property
-    def coalesced_requests(self):
-        return self.metrics.counter("service.requests.coalesced").value
-
-    @property
-    def max_batch_observed(self):
-        return self.metrics.gauge("service.batch.max_requests").value
-
-    @property
-    def retries(self):
-        return self.metrics.counter("service.retries").value
-
-    @property
-    def degraded_served(self):
-        return self.metrics.counter("service.requests.degraded").value
-
-    @property
-    def deadline_rejections(self):
-        return self.metrics.counter("service.rejections.deadline").value
-
-    @property
-    def deadline_expired(self):
-        return self.metrics.counter("service.deadline.expired").value
-
-    @property
-    def circuit_rejections(self):
-        return self.metrics.counter("service.rejections.circuit").value
-
     def metrics_snapshot(self):
         """One flat ``{dotted_name: number}`` snapshot of the whole stack.
 
@@ -576,44 +530,6 @@ class ImputationService:
             snapshot.update(self.executor.metrics_snapshot())
         snapshot.update(self.metrics.snapshot())
         return snapshot
-
-    def stats(self):
-        """Serving counters: batches, coalescing, queue depth, registry LRU,
-        executor — the scrape surface behind the gateway's ``/v1/stats``.
-
-        Legacy nested-dict shim over :meth:`metrics_snapshot` (also embedded
-        under the ``"metrics"`` key).  Every section is always present —
-        ``executor`` zero-filled in inline mode, ``circuits`` empty without a
-        policy — so the key schema does not depend on configuration.
-        """
-        snapshot = self.metrics_snapshot()
-        served = snapshot["service.requests.served"]
-        batches = snapshot["service.batches"]
-        stats = {
-            "requests_served": served,
-            "batches": batches,
-            "average_batch_requests": served / batches if batches else 0.0,
-            "max_batch_requests_observed": snapshot["service.batch.max_requests"],
-            "coalesced_requests": snapshot["service.requests.coalesced"],
-            "pending_requests": snapshot["service.queue.depth"],
-            "inflight_requests": snapshot["service.requests.inflight"],
-            "retries": snapshot["service.retries"],
-            "degraded_served": snapshot["service.requests.degraded"],
-            "deadline_rejections": snapshot["service.rejections.deadline"],
-            "deadline_expired": snapshot["service.deadline.expired"],
-            "circuit_rejections": snapshot["service.rejections.circuit"],
-            "registry": self.registry.stats(),
-            # Trace-and-replay compilation counters, aggregated process-wide
-            # (additive key — golden fixtures assert presence, not equality).
-            "compiled": compiled_counters(),
-            "circuits": self.circuits(),
-            "metrics": snapshot,
-        }
-        if self.executor is not None and hasattr(self.executor, "stats"):
-            stats["executor"] = self.executor.stats()
-        else:
-            stats["executor"] = inline_executor_stats()
-        return stats
 
     # ------------------------------------------------------------------
     # Background worker (deadline enforcement without client polling)

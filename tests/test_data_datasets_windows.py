@@ -35,6 +35,11 @@ class TestDatasetContainer:
         lengths = [dataset.segment(name)[0].shape[0] for name in ("train", "valid", "test")]
         assert sum(lengths) == dataset.num_steps
 
+    @pytest.mark.parametrize("name", ["validation", "__class__", "fractional"])
+    def test_unknown_segment_name_rejected(self, tiny_traffic_dataset, name):
+        with pytest.raises(ValueError, match="'train', 'valid', 'test'"):
+            tiny_traffic_dataset.segment(name)
+
     def test_segment_dataset_view(self, tiny_traffic_dataset):
         view = tiny_traffic_dataset.segment_dataset("test")
         assert view.num_steps == tiny_traffic_dataset.segment("test")[0].shape[0]

@@ -236,10 +236,12 @@ class TestCodecs:
 # ----------------------------------------------------------------------
 class TestProtocol:
     def test_healthz(self, client):
-        response = run(client.request("GET", "/v1/healthz"))
+        response = run(client.request("GET", "/v1/healthz/live"))
         assert response.status == 200
-        assert response.json()["status"] == "ok"
-        assert response.json()["draining"] is False
+        assert response.json()["live"] is True
+        stats = run(client.request("GET", "/v1/stats")).json()
+        assert stats["metrics"]["gateway.draining"] == 0
+        assert run(client.request("GET", "/v1/healthz")).status == 404
 
     def test_submit_then_fetch(self, client, tiny_traffic_dataset):
         async def go():
@@ -412,20 +414,42 @@ class TestProtocol:
             return await client.request("GET", "/v1/stats")
 
         response = run(go())
-        stats = response.json()
-        assert stats["gateway"]["tickets_issued"] == 1
-        assert stats["gateway"]["tickets_fetched"] == 1
-        assert stats["gateway"]["codec_requests"][NPZ_CONTENT_TYPE] == 1
-        assert stats["service"]["requests_served"] >= 1
-        assert "pending_requests" in stats["service"]
-        assert "registry" in stats["service"]
-        # Compiled-inference counters ride along (additive key): gateway
-        # traffic runs on trace-and-replay, so the cache was consulted.
-        compiled = stats["service"]["compiled"]
-        for key in ("trace_cache_hits", "trace_cache_misses",
-                    "fallback_count"):
-            assert key in compiled
-        assert compiled["trace_cache_misses"] + compiled["trace_cache_hits"] >= 1
+        metrics = response.json()["metrics"]
+        assert metrics["gateway.tickets.issued"] == 1
+        assert metrics["gateway.tickets.fetched"] == 1
+        assert metrics["gateway.requests.npz"] == 1
+        assert metrics["service.requests.served"] >= 1
+        assert "service.queue.depth" in metrics
+        assert "registry.cache.hits" in metrics
+        # Compiled-inference counters ride along: gateway traffic runs on
+        # trace-and-replay, so the cache was consulted.
+        for key in ("compiled.cache.hits", "compiled.cache.misses",
+                    "compiled.fallbacks"):
+            assert key in metrics
+        assert metrics["compiled.cache.misses"] + metrics["compiled.cache.hits"] >= 1
+
+    def test_codec_and_status_counters_move(self, client, tiny_traffic_dataset):
+        async def go():
+            request = _request(tiny_traffic_dataset)
+            before = (await client.request("GET", "/v1/stats")).json()["metrics"]
+            for codec in CODECS:
+                _, status = await submit_and_fetch(client, request, codec=codec)
+                assert status == 200
+            missing = await client.request("GET", "/v1/result/t-missing")
+            assert missing.status == 404
+            after = (await client.request("GET", "/v1/stats")).json()["metrics"]
+            return before, after
+
+        before, after = run(go())
+        assert before["gateway.requests.json"] == before["gateway.requests.npz"] == 0
+        assert after["gateway.requests.json"] == 1
+        assert after["gateway.requests.npz"] == 1
+        # Each round trip is one 202 submit and one 200 fetch; the first
+        # scrape's own 200 is counted once its response is built.
+        assert after["gateway.responses.202"] == 2
+        assert after["gateway.responses.200"] == 3
+        assert after["gateway.responses.404"] == 1
+        assert after["gateway.requests"] == 7
 
 
 # ----------------------------------------------------------------------
@@ -535,8 +559,10 @@ class TestDrain:
                 "POST", "/v1/stream",
                 body=b'{"model":"traffic","num_nodes":6}')
             assert stream.status == 503
-            health = await client.request("GET", "/v1/healthz")
-            assert health.json()["draining"] is True
+            live = await client.request("GET", "/v1/healthz/live")
+            assert live.status == 200
+            stats = await client.request("GET", "/v1/stats")
+            assert stats.json()["metrics"]["gateway.draining"] == 1
             await gateway.drain()                  # idempotent
             return True
 
@@ -643,7 +669,7 @@ class TestResilienceProtocol:
             observed = request.observed_mask & np.isfinite(request.values)
             assert np.array_equal(payload["median"][observed],
                                   request.values[observed])
-            assert service.stats()["degraded_served"] == 1
+            assert service.metrics_snapshot()["service.requests.degraded"] == 1
         finally:
             service.stop()
 
@@ -658,13 +684,12 @@ class TestResilienceProtocol:
             # Draining: still live (don't restart), no longer ready.
             live = await client.request("GET", "/v1/healthz/live")
             ready = await client.request("GET", "/v1/healthz/ready")
-            health = await client.request("GET", "/v1/healthz")
+            stats = await client.request("GET", "/v1/stats")
             assert live.status == 200
             assert ready.status == 503
             assert ready.json()["reasons"] == ["draining"]
             assert int(ready.headers["Retry-After"]) >= 1
-            assert health.status == 200            # legacy endpoint stays 200
-            assert health.json()["ready"] is False
+            assert stats.json()["metrics"]["gateway.draining"] == 1
             return True
 
         assert run(go())
@@ -707,7 +732,7 @@ class TestResilienceProtocol:
                 assert rejected.json()["error"] == "circuit_open"
                 assert int(rejected.headers["Retry-After"]) >= 1
                 stats = await client.request("GET", "/v1/stats")
-                circuits = stats.json()["service"]["circuits"]
+                circuits = stats.json()["circuits"]
                 assert circuits["traffic@1"]["state"] == "open"
                 return True
 
@@ -795,25 +820,25 @@ def _drive_wire(gateway, payload):
 
 class TestWireFraming:
     def test_single_request_response(self, gateway):
-        writer = _drive_wire(gateway, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+        writer = _drive_wire(gateway, b"GET /v1/healthz/live HTTP/1.1\r\n\r\n")
         assert writer.data.startswith(b"HTTP/1.1 200 OK\r\n")
         head, _, body = writer.data.partition(b"\r\n\r\n")
         assert f"Content-Length: {len(body)}".encode() in head
-        assert json.loads(body)["status"] == "ok"
+        assert json.loads(body)["live"] is True
         assert writer.closed
 
     def test_keep_alive_pipelining(self, gateway):
         writer = _drive_wire(gateway,
-                             b"GET /v1/healthz HTTP/1.1\r\n\r\n"
+                             b"GET /v1/healthz/live HTTP/1.1\r\n\r\n"
                              b"GET /v1/stats HTTP/1.1\r\n\r\n")
         assert writer.data.count(b"HTTP/1.1 200 OK") == 2
         assert b"Connection: keep-alive" in writer.data
 
     def test_connection_close_honoured(self, gateway):
         writer = _drive_wire(gateway,
-                             b"GET /v1/healthz HTTP/1.1\r\n"
+                             b"GET /v1/healthz/live HTTP/1.1\r\n"
                              b"Connection: close\r\n\r\n"
-                             b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+                             b"GET /v1/healthz/live HTTP/1.1\r\n\r\n")
         assert writer.data.count(b"HTTP/1.1 200 OK") == 1
         assert b"Connection: close" in writer.data
 
@@ -864,17 +889,17 @@ class TestWireFaults:
     def test_connection_drop_closes_without_response(self, gateway):
         with faults.active([{"point": "gateway.connection_drop",
                              "hits": [1]}]):
-            writer = _drive_wire(gateway, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            writer = _drive_wire(gateway, b"GET /v1/healthz/live HTTP/1.1\r\n\r\n")
         # The connection handler absorbs the reset: nothing written, closed,
         # and no exception escaped to the caller.
         assert writer.data == b""
         assert writer.closed
 
     def test_truncated_body_underdelivers_content_length(self, gateway):
-        clean = _drive_wire(gateway, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+        clean = _drive_wire(gateway, b"GET /v1/healthz/live HTTP/1.1\r\n\r\n")
         _, _, full_body = clean.data.partition(b"\r\n\r\n")
         with faults.active([{"point": "gateway.truncated_body", "hits": [1]}]):
-            writer = _drive_wire(gateway, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            writer = _drive_wire(gateway, b"GET /v1/healthz/live HTTP/1.1\r\n\r\n")
         head, _, body = writer.data.partition(b"\r\n\r\n")
         # The head promises the full body; the wire delivers only part of it,
         # then the connection dies — exactly what a client must survive.
@@ -885,8 +910,8 @@ class TestWireFaults:
     def test_faults_only_fire_when_scheduled(self, gateway):
         with faults.active([{"point": "gateway.connection_drop",
                              "hits": [2]}]):
-            first = _drive_wire(gateway, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
-            second = _drive_wire(gateway, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            first = _drive_wire(gateway, b"GET /v1/healthz/live HTTP/1.1\r\n\r\n")
+            second = _drive_wire(gateway, b"GET /v1/healthz/live HTTP/1.1\r\n\r\n")
         assert first.data.startswith(b"HTTP/1.1 200 OK\r\n")
         assert second.data == b""
 

@@ -137,7 +137,7 @@ class TestScheduling:
             assert pool.wait_idle(timeout=5.0)
         assert set(executed_by) == {"b1", "b2"}
         assert all(wid != holder["wid"] for wid in executed_by.values())
-        assert pool.stats()["stolen_batches"] >= 2
+        assert pool.metrics_snapshot()["pool.steals"] >= 2
 
     def test_steal_disabled_pins_shards(self):
         pool = WorkerPool(num_workers=2, steal=False)
@@ -155,7 +155,7 @@ class TestScheduling:
             release.set()
             assert pool.wait_idle(timeout=5.0)
         assert executed_by == [home]
-        assert pool.stats()["stolen_batches"] == 0
+        assert pool.metrics_snapshot()["pool.steals"] == 0
 
 
 class TestAdmissionControl:
@@ -172,7 +172,7 @@ class TestAdmissionControl:
                 pool.dispatch(_dummy_task("a@1", execute=lambda wid: None))
             release.set()
             assert pool.wait_idle(timeout=5.0)
-        assert pool.stats()["rejected_requests"] == 1
+        assert pool.metrics_snapshot()["pool.requests.rejected"] == 1
 
     def test_service_submit_backpressure(self, registry, tiny_traffic_dataset):
         service = ImputationService(registry, max_batch_requests=64,
@@ -325,11 +325,11 @@ class TestFailureContract:
                     execute=lambda wid: executed.append(wid)))
             assert pool.wait_idle(timeout=10.0)
             assert len(executed) == 8
-            stats = pool.stats()
-            assert stats["crashed_batches"] == storm
-            assert stats["backlog_requests"] == 0       # no leaked slots
-            assert stats["in_flight_batches"] == 0
-            assert stats["dead_workers"] == 0   # thread workers survive crashes
+            stats = pool.metrics_snapshot()
+            assert stats["pool.batches.crashed"] == storm
+            assert stats["pool.backlog"] == 0           # no leaked slots
+            assert stats["pool.batches.inflight"] == 0
+            assert stats["pool.workers.dead"] == 0   # thread workers survive crashes
 
     def test_worker_process_crash_resolves_tickets_and_respawns(
             self, registry, tiny_traffic_dataset):
@@ -355,7 +355,7 @@ class TestFailureContract:
             for ticket in tickets:
                 with pytest.raises(WorkerCrashed):
                     ticket.result(timeout=120)
-            assert pool.stats()["crashed_batches"] == 1
+            assert pool.metrics_snapshot()["pool.batches.crashed"] == 1
             # ...and the worker respawns a fresh child for the batch after.
             again = [service.submit(request) for request in requests]
             service.flush()

@@ -341,25 +341,26 @@ class TestImputationService:
         assert response.batch_requests == 1
         assert response.model == "traffic@1"
 
-    def test_stats_carry_compiled_counters(self, registry, tiny_traffic_dataset):
-        """``service.stats()`` exposes the process-wide trace-cache counters
-        (the additive ``compiled`` key behind the gateway's ``/v1/stats``),
-        and served traffic actually rides the compiled path."""
-        from repro.inference import reset_compiled_counters
+    def test_snapshot_carries_compiled_metrics(self, registry, tiny_traffic_dataset):
+        """``service.metrics_snapshot()`` exposes the process-wide
+        ``compiled.*`` trace-cache counters (served by the gateway's
+        ``/v1/stats``), and served traffic actually rides the compiled path."""
+        from repro.inference import reset_compiled_metrics
 
         service = ImputationService(registry, max_batch_requests=4)
-        reset_compiled_counters()
+        reset_compiled_metrics()
         values, mask = _test_arrays(tiny_traffic_dataset)
         service.serve(ImputationRequest("traffic", values, mask,
                                         num_samples=2, seed=5))
-        compiled = service.stats()["compiled"]
-        for key in ("trace_cache_hits", "trace_cache_misses",
-                    "fallback_count", "compiled_programs", "evictions"):
+        compiled = service.metrics_snapshot()
+        for key in ("compiled.cache.hits", "compiled.cache.misses",
+                    "compiled.fallbacks", "compiled.programs",
+                    "compiled.cache.evictions"):
             assert key in compiled
         # First chunk of the signature traces (or replays an earlier
         # program); either way the compiled machinery was consulted.
-        assert compiled["trace_cache_misses"] + compiled["trace_cache_hits"] >= 1
-        assert compiled["fallback_count"] == 0
+        assert compiled["compiled.cache.misses"] + compiled["compiled.cache.hits"] >= 1
+        assert compiled["compiled.fallbacks"] == 0
 
     def test_unknown_model_fails_at_submit(self, registry, tiny_traffic_dataset):
         service = ImputationService(registry)

@@ -22,7 +22,7 @@ from repro import (
     PriSTIConfig,
     WorkerPool,
 )
-from repro.inference.compiled import compiled_counters, reset_compiled_counters
+from repro.inference.compiled import compiled_metrics, reset_compiled_metrics
 from repro.serving import Gateway, InProcessClient
 from repro.serving.metrics import MetricsRegistry, WorkerCounterMerge
 from repro.serving.pool import executor_metric_schema, zero_executor_snapshot
@@ -238,7 +238,7 @@ class TestStackSnapshots:
 
     def test_process_crash_and_respawn_fold_counters(
             self, registry, tiny_traffic_dataset):
-        reset_compiled_counters()
+        reset_compiled_metrics()
         pool = WorkerPool(num_workers=1, mode="process")
         service = ImputationService(registry, max_batch_requests=64,
                                     executor=pool)
@@ -265,7 +265,7 @@ class TestStackSnapshots:
         assert snapshot["pool.batches.executed"] >= 2
         assert snapshot["transport.batches.run"] >= 2
         assert snapshot["transport.batches.staged"] >= 2
-        assert compiled_counters()["trace_cache_misses"] >= 1
+        assert compiled_metrics()["compiled.cache.misses"] >= 1
 
     def test_executor_schema_zero_filled_inline(self, registry,
                                                 tiny_traffic_dataset):
@@ -275,10 +275,8 @@ class TestStackSnapshots:
         for name in executor_metric_schema():
             assert name in snapshot, name
             assert snapshot[name] == 0
-        stats = service.stats()
-        assert stats["executor"]["mode"] == "inline"
-        assert stats["executor"]["num_workers"] == 0
-        assert stats["circuits"] == {}
+        assert snapshot["pool.workers"] == 0
+        assert service.circuits() == {}
 
     def test_shared_registry_spans_service_and_pool(self, registry,
                                                     tiny_traffic_dataset):
@@ -292,15 +290,6 @@ class TestStackSnapshots:
         snapshot = metrics.snapshot()
         assert snapshot["service.requests.served"] == 2
         assert snapshot["pool.batches.dispatched"] >= 1
-
-    def test_legacy_attributes_read_through(self, registry,
-                                            tiny_traffic_dataset):
-        service = ImputationService(registry, max_batch_requests=4)
-        _serve(service, _requests(tiny_traffic_dataset, count=3))
-        assert service.requests_served == 3
-        assert service.batches >= 1
-        assert service.max_batch_observed >= 1
-        assert service.deadline_rejections == 0
 
 
 class TestStableStatsSchema:
@@ -338,15 +327,12 @@ class TestStableStatsSchema:
                 service.stop()
                 if pool is not None:
                     pool.stop()
-            schemas[mode] = {
-                "top": sorted(stats),
-                "gateway": sorted(stats["gateway"]),
-                "service": sorted(stats["service"]),
-                "executor": sorted(stats["service"]["executor"]),
-                "metrics": sorted(stats["metrics"]),
-            }
-            assert stats["service"]["executor"]["mode"] == mode
+            schemas[mode] = {"top": sorted(stats),
+                             "metrics": sorted(stats["metrics"])}
+            assert stats["metrics"]["pool.workers"] == (
+                0 if pool is None else pool.num_workers)
         assert schemas["inline"] == schemas["thread"] == schemas["process"]
+        assert schemas["inline"]["top"] == ["circuits", "metrics"]
         # The flat snapshot carries every declared family.
         names = set(schemas["inline"]["metrics"])
         for declared in SERVICE_METRIC_SCHEMA:
